@@ -63,18 +63,9 @@ let pool () =
   match !the_pool with
   | Some _ as p -> p
   | None -> (
-      (* the registry's pool injector (from --chaos-layers) wins; plain
-         --chaos keeps the pre-registry pool-only behavior *)
-      let chaos =
-        match Chaos.get "pool" with
-        | Some _ as inj -> inj
-        | None ->
-            Option.map
-              (fun p ->
-                Parallel.Fault.create ~p_fault:p ?p_kill:options.chaos_kill
-                  ~seed:options.seed ())
-              options.chaos
-      in
+      (* the registry's pool injector: armed by --chaos-layers, or by
+         plain --chaos (which means the pool layer) *)
+      let chaos = Chaos.get "pool" in
       match (options.domains, chaos) with
       | None, None -> None
       | size, _ ->
@@ -597,16 +588,15 @@ let coverage_bench () =
   hr ();
   let d = generate "uw" in
   let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
-  let run ?pool ?(use_compiled = true) use_cache =
+  let run ?pool use_cache =
     let b = Budget.create () in
     let rng = Random.State.make [| options.seed; 3 |] in
-    (* pruning off: the A/Bs below compare subsumption-try counts between
-       memo on/off and compiled/symbolic; the failure-constraint store
-       (compiled-only) would skew both comparisons. It gets its own
-       experiment ("pruning"). *)
+    (* pruning off: the A/B below compares subsumption-try counts between
+       memo on and off, which the failure-constraint store would skew. It
+       gets its own experiment ("pruning"). *)
     let cov =
-      Learning.Coverage.create ~use_cache ~use_compiled ~use_pruning:false
-        d.Dataset.db d.Dataset.manual_bias ~rng
+      Learning.Coverage.create ~use_cache ~use_pruning:false d.Dataset.db
+        d.Dataset.manual_bias ~rng
     in
     let config =
       { Learning.Learn.default_config with
@@ -667,45 +657,26 @@ let coverage_bench () =
       ("uw.clauses", Bench_json.I (List.length rc.Learning.Learn.definition));
       ("uw.identical_on_vs_off", Bench_json.B identical);
       ("uw.identical_pool1", Bench_json.B identical_pool) ];
-  (* ---- Compiled evaluation A/B (the clause-compilation layer) ---- *)
+  (* ---- Compiled kernel vs the symbolic oracle, per evaluation ---- *)
   hr ();
   Fmt.pr "Coverage — compiled evaluation A/B (int-coded kernel vs symbolic)@.";
   hr ();
-  (* Full-learner A/B first: same fixed seed, kernel on vs off; definitions
-     must be bit-identical, sequentially and under a 1-domain pool. *)
-  let rs, ts, cs, _ = run ~use_compiled:false true in
-  let compiled_identical =
-    render rc.Learning.Learn.definition = render rs.Learning.Learn.definition
-  in
-  let compiled_identical_pool =
-    render rs.Learning.Learn.definition = render rp.Learning.Learn.definition
-  in
-  Fmt.pr "compiled : %8.3fs  %7d subsumption tries@." tc
-    cc.Budget.subsumption_tries;
-  Fmt.pr "symbolic : %8.3fs  %7d subsumption tries@." ts
-    cs.Budget.subsumption_tries;
-  Fmt.pr "learner wall speedup %.2fx; definitions identical: %s (sequential) \
-          / %s (1-domain pool)@."
-    (ts /. tc)
-    (if compiled_identical then "YES" else "NO -- DETERMINISM BUG")
-    (if compiled_identical_pool then "YES" else "NO -- DETERMINISM BUG");
   (* Per-eval latency distribution: one beam-step-shaped workload (bottom
      clauses plus ARMG generalization chains), every (clause, example) pair
-     timed individually on fresh UNCACHED contexts so each sample is a real
-     evaluation, not a memo probe. Exact percentiles from the sorted
-     arrays — the process-wide Obs histogram (coverage.eval_s) is
-     log-bucketed and shared between the two passes, so it cannot give an
-     honest A/B. *)
-  let mk_uncached use_compiled =
-    (* pruning off: the back-to-back eval pairs below must both be real
-       evaluations, not a prune-store probe answering the second one *)
-    Learning.Coverage.create ~use_cache:false ~use_compiled
-      ~use_pruning:false d.Dataset.db d.Dataset.manual_bias
-      ~rng:(Random.State.make [| options.seed; 3 |])
+     timed individually on an UNCACHED context, so each compiled sample is
+     a real evaluation, not a memo probe, against the symbolic frontier
+     engine ([Subsumption.eval_prefix]) run directly on the same cached
+     ground BC. Exact percentiles from the sorted arrays — the process-wide
+     Obs histogram (coverage.eval_s) is log-bucketed and sees only the
+     compiled side, so it cannot give an honest A/B. Pruning is off so the
+     back-to-back compiled pairs are both real evaluations, not a
+     prune-store probe answering the second one. *)
+  let cov =
+    Learning.Coverage.create ~use_cache:false ~use_pruning:false d.Dataset.db
+      d.Dataset.manual_bias ~rng:(Random.State.make [| options.seed; 3 |])
   in
   let examples = positives @ negatives in
   let candidates =
-    let cov = mk_uncached true in
     let rng = Random.State.make [| options.seed; 11 |] in
     let acc = ref [] in
     List.iter
@@ -727,21 +698,26 @@ let coverage_bench () =
       (Logic.Util.take 4 positives);
     !acc
   in
-  let time_evals cov =
-    Learning.Coverage.warm cov examples;
+  let symbolic c e =
+    match Learning.Coverage.head_subst c e with
+    | None -> Logic.Subsumption.Blocked 0
+    | Some subst ->
+        Logic.Subsumption.eval_prefix ~subst c (Learning.Coverage.ground_of cov e)
+  in
+  (* One pass per engine over every pair; min of 2 back-to-back runs per
+     pair drops timer noise without letting the memo answer (the context
+     is uncached). *)
+  let time_evals eval =
     let ts = ref [] and verdicts = ref [] in
     List.iter
       (fun c ->
         List.iter
           (fun e ->
-            (* min of 2 back-to-back runs per pair: drops timer noise
-               without letting the memo answer (the context is uncached) *)
             let t0 = Unix.gettimeofday () in
-            let v = Learning.Coverage.eval cov c e in
+            let v = eval c e in
             let t1 = Unix.gettimeofday () in
-            let v' = Learning.Coverage.eval cov c e in
+            ignore (eval c e);
             let t2 = Unix.gettimeofday () in
-            ignore v';
             ts := Float.min (t1 -. t0) (t2 -. t1) :: !ts;
             verdicts := v :: !verdicts)
           examples)
@@ -750,9 +726,9 @@ let coverage_bench () =
     Array.sort compare a;
     (a, !verdicts)
   in
-  let pct = Obs.Metrics.percentile in
-  let a_c, v_c = time_evals (mk_uncached true) in
-  let a_s, v_s = time_evals (mk_uncached false) in
+  Learning.Coverage.warm cov examples;
+  let a_c, v_c = time_evals (Learning.Coverage.eval cov) in
+  let a_s, v_s = time_evals symbolic in
   let verdicts_agree =
     List.for_all2
       (fun x y ->
@@ -763,6 +739,7 @@ let coverage_bench () =
         | _ -> false)
       v_c v_s
   in
+  let pct = Obs.Metrics.percentile in
   let p50_c = pct a_c 0.50 and p95_c = pct a_c 0.95 in
   let p50_s = pct a_s 0.50 and p95_s = pct a_s 0.95 in
   Fmt.pr "per-eval latency over %d evaluations (%d candidates x %d examples):@."
@@ -774,12 +751,7 @@ let coverage_bench () =
     (p95_s /. Float.max p95_c 1e-9)
     (if verdicts_agree then "YES" else "NO -- SOUNDNESS BUG");
   Bench_json.record "coverage"
-    [ ("uw.compiled_s", Bench_json.F tc);
-      ("uw.symbolic_s", Bench_json.F ts);
-      ("uw.compiled_wall_speedup", Bench_json.F (ts /. tc));
-      ("uw.compiled_identical_on_vs_off", Bench_json.B compiled_identical);
-      ("uw.compiled_identical_pool1", Bench_json.B compiled_identical_pool);
-      ("uw.compiled_verdicts_agree", Bench_json.B verdicts_agree);
+    [ ("uw.compiled_verdicts_agree", Bench_json.B verdicts_agree);
       ("uw.eval_count", Bench_json.I (Array.length a_c));
       ("uw.eval_p50_compiled_s", Bench_json.F p50_c);
       ("uw.eval_p95_compiled_s", Bench_json.F p95_c);
@@ -1498,17 +1470,8 @@ let () =
   in
   let chosen = parse [] args in
   let chosen = if chosen = [] then List.map fst experiments else chosen in
-  (match options.chaos_layers with
-  | Some layers ->
-      let layers =
-        String.split_on_char ',' layers
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      Chaos.configure ?p_kill:options.chaos_kill
-        ~p_fault:(Option.value options.chaos ~default:0.)
-        ~seed:options.seed layers
-  | None -> ());
+  Chaos.arm ?p_kill:options.chaos_kill ?p_fault:options.chaos
+    ?layers:options.chaos_layers ~seed:options.seed ();
   if options.trace <> None then Obs.Trace.enable ();
   (* Provenance: the regression sentinel compares history lines across
      runs, so every line must say which commit/host/toolchain produced it.

@@ -63,8 +63,8 @@ let chaos_arg =
   let doc =
     "Fault-injection probability (testing): each probed operation faults \
      with probability $(docv) under a seeded RNG. Without --chaos-layers \
-     this injects into pool workers only (the pre-registry behavior); with \
-     it, into every named layer. The run must still terminate with a valid \
+     this injects into pool workers only (the pool layer); with it, into \
+     every named layer. The run must still terminate with a valid \
      definition; injections show up in the pool stats, the degradation \
      counters and the run report's chaos snapshot."
   in
@@ -116,14 +116,12 @@ let kill_after_arg =
   in
   Arg.(value & opt (some int) None & info [ "kill-after-clause" ] ~docv:"K" ~doc)
 
-let config ?(coverage_cache = true) ?(compiled_eval = true) ?(pruning = true)
-    ~strategy ~timeout () =
+let config ?(coverage_cache = true) ?(pruning = true) ~strategy ~timeout () =
   {
     Autobias.default_config with
     strategy = Sampling.Strategy.of_string strategy;
     timeout = Some timeout;
     coverage_cache;
-    compiled_eval;
     pruning;
   }
 
@@ -216,16 +214,6 @@ let no_cache_arg =
   in
   Arg.(value & flag & info [ "no-coverage-cache" ] ~doc)
 
-let no_compiled_arg =
-  let doc =
-    "Fall back to the symbolic frontier evaluator instead of the int-coded \
-     compiled kernel (escape hatch / A/B baseline). The compiled engine is \
-     bit-identical — same verdicts, witnesses and truncation accounting — \
-     so the learned definition does not change; only the evaluation speed \
-     does."
-  in
-  Arg.(value & flag & info [ "no-compiled-eval" ] ~doc)
-
 let no_prune_arg =
   let doc =
     "Disable the failure-constraint pruning store (escape hatch / A/B \
@@ -237,8 +225,9 @@ let no_prune_arg =
 
 (* Build the budget / pool a command asked for and pass them down; the pool
    is shut down (domains joined) before returning, also on exceptions.
-   [chaos_layers] installs per-layer injectors first, so the pool picks up
-   the registry's "pool" injector when one is configured.
+   The chaos flags arm the registry first ({!Chaos.arm}: plain --chaos
+   means the pool layer), so the pool picks up the registry's "pool"
+   injector when one is configured.
 
    A budget always exists (unbounded without --deadline) so that SIGINT /
    SIGTERM have something to cancel: the first signal winds the anytime
@@ -247,17 +236,7 @@ let no_prune_arg =
    (checkpoint writes are atomic tmp+rename) — instead of dying mid-write.
    A second signal exits immediately. *)
 let with_resources ~seed ~deadline ~domains ~chaos ~chaos_layers ~chaos_kill k =
-  (match chaos_layers with
-  | Some layers ->
-      let layers =
-        String.split_on_char ',' layers
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      Chaos.configure ?p_kill:chaos_kill
-        ~p_fault:(Option.value chaos ~default:0.)
-        ~seed layers
-  | None -> ());
+  Chaos.arm ?p_kill:chaos_kill ?p_fault:chaos ?layers:chaos_layers ~seed ();
   let budget = Budget.create ?deadline () in
   let interrupted = ref false in
   let on_signal =
@@ -275,14 +254,7 @@ let with_resources ~seed ~deadline ~domains ~chaos ~chaos_layers ~chaos_kill k =
   Sys.set_signal Sys.sigint on_signal;
   (try Sys.set_signal Sys.sigterm on_signal with Invalid_argument _ -> ());
   let budget = Some budget in
-  let fault =
-    match Chaos.get "pool" with
-    | Some _ as inj -> inj
-    | None ->
-        Option.map
-          (fun p -> Parallel.Fault.create ~p_fault:p ?p_kill:chaos_kill ~seed ())
-          chaos
-  in
+  let fault = Chaos.get "pool" in
   match (domains, fault) with
   | (None | Some 0), None -> k ~budget None
   | size, _ ->
@@ -398,7 +370,7 @@ let load_definition path =
 let learn_cmd =
   let run dataset_name method_name strategy scale seed timeout deadline domains
       chaos chaos_layers chaos_kill checkpoint checkpoint_every resume
-      kill_after no_cache no_compiled no_prune cv show_bias output trace events
+      kill_after no_cache no_prune cv show_bias output trace events
       funnel metrics =
     let dataset = dataset_of_name ~scale ~seed dataset_name in
     let method_ = Autobias.method_of_string method_name in
@@ -424,8 +396,8 @@ let learn_cmd =
     (* --kill-after-clause cancels through the budget, which
        [with_resources] now always provides (signal handling needs it). *)
     let config =
-      { (config ~coverage_cache:(not no_cache) ~compiled_eval:(not no_compiled)
-           ~pruning:(not no_prune) ~strategy ~timeout ())
+      { (config ~coverage_cache:(not no_cache) ~pruning:(not no_prune)
+           ~strategy ~timeout ())
         with budget; pool }
     in
     let note_resilience () =
@@ -571,7 +543,7 @@ let learn_cmd =
       const run $ dataset_arg $ method_arg $ strategy_arg $ scale_arg $ seed_arg
       $ timeout_arg $ deadline_arg $ domains_arg $ chaos_arg $ chaos_layers_arg
       $ chaos_kill_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ kill_after_arg $ no_cache_arg $ no_compiled_arg $ no_prune_arg $ cv_arg
+      $ kill_after_arg $ no_cache_arg $ no_prune_arg $ cv_arg
       $ show_bias_arg
       $ output_arg $ trace_arg $ events_arg $ funnel_arg $ metrics_arg)
 

@@ -35,17 +35,7 @@ let print_error msg =
 
 let configure_chaos ~chaos ~chaos_layers ~chaos_kill ~seed =
   Chaos.from_env ();
-  match chaos_layers with
-  | Some layers ->
-      let layers =
-        String.split_on_char ',' layers
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      Chaos.configure ?p_kill:chaos_kill
-        ~p_fault:(Option.value chaos ~default:0.)
-        ~seed layers
-  | None -> ()
+  Chaos.arm ?p_kill:chaos_kill ?p_fault:chaos ?layers:chaos_layers ~seed ()
 
 let serve domains max_in_flight max_queue default_deadline max_attempts seed
     chaos chaos_layers chaos_kill drain_deadline report trace events sync =
@@ -191,7 +181,10 @@ let () =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"INT" ~doc)
   in
   let chaos_arg =
-    let doc = "Fault-injection probability per configured chaos layer." in
+    let doc =
+      "Fault-injection probability per configured chaos layer; without \
+       --chaos-layers it arms the pool layer only."
+    in
     Arg.(value & opt (some float) None & info [ "chaos" ] ~docv:"P" ~doc)
   in
   let chaos_layers_arg =

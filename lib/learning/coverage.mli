@@ -21,31 +21,25 @@ type cache_stats = { hits : int; misses : int; entries : int }
     (default [true]) enables the lock-striped verdict memo: verdicts are pure
     functions of (clause, example) given the captured seed, so caching is
     invisible to results — [false] exists for A/B measurement
-    ([--no-coverage-cache]). [?use_compiled] (default [true]) evaluates
-    through the int-coded compiled kernel ({!Logic.Compiled}), which is
-    bit-identical to the symbolic frontier engine — [false]
-    ([--no-compiled-eval]) is the escape hatch / A/B baseline.
-    [?use_pruning] (default [true]) arms the failure-constraint store
-    ({!Prune}): blocked verdicts become prefix signatures that answer later
-    evaluations without running the frontier. A probe hit returns the exact
-    verdict evaluation would compute, so pruning is also invisible to
-    results — [false] ([--no-prune]) is the A/B escape hatch. Pruning
-    requires the compiled engine (signatures are compiled-key prefixes) and
-    is silently off under [use_compiled:false]. *)
+    ([--no-coverage-cache]). Every verdict is computed by the int-coded
+    compiled kernel ({!Logic.Compiled}), which is bit-identical to the
+    symbolic frontier engine ({!Logic.Subsumption.eval_prefix}, kept as the
+    test oracle). [?use_pruning] (default [true]) arms the
+    failure-constraint store ({!Prune}): blocked verdicts become prefix
+    signatures that answer later evaluations without running the frontier.
+    A probe hit returns the exact verdict evaluation would compute, so
+    pruning is also invisible to results — [false] ([--no-prune]) is the
+    A/B escape hatch. *)
 val create :
-  ?sub_config:Logic.Subsumption.config ->
   ?bc_config:Bottom_clause.config ->
   ?budget:Budget.t ->
   ?use_cache:bool ->
-  ?use_compiled:bool ->
   ?use_pruning:bool ->
   Relational.Database.t ->
   Bias.Language.t ->
   rng:Random.State.t ->
   t
 
-val cache_enabled : t -> bool
-val compiled_enabled : t -> bool
 val pruning_enabled : t -> bool
 
 (** Failure-constraint store snapshot (all zero when pruning is off). *)
@@ -98,11 +92,6 @@ val probe_pruned :
   Relational.Relation.tuple ->
   Logic.Subsumption.verdict option
 
-(** [blocking_key t clause i] — canonical compiled key segment of the
-    literal a [Blocked i] verdict points at (the head for [i = 0]); [None]
-    under [--no-compiled-eval]. Shared with {!Explain.Not_covered}. *)
-val blocking_key : t -> Logic.Clause.t -> int -> int array option
-
 (** [export_constraints t] — the failure-constraint store as an opaque
     checkpoint payload ([""] when pruning is off). *)
 val export_constraints : t -> string
@@ -120,10 +109,6 @@ val covers : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool
     the flag only feeds {!Learn}'s search-funnel accounting, which wants to
     know whether a candidate cost any real subsumption work. *)
 val covers_src : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool * bool
-
-(** [covers_prefix t clause k example] — [covers] restricted to the first
-    [k] body literals. *)
-val covers_prefix : t -> Logic.Clause.t -> int -> Relational.Relation.tuple -> bool
 
 (** [covered t clause examples] — the covered sublist. *)
 val covered :

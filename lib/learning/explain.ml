@@ -22,11 +22,6 @@ type t =
           (** the paper's blocking atom; [None] when the head itself cannot
               bind to the example *)
       blocking_index : int;  (** 1-based; 0 when the head fails *)
-      blocking_key : int array option;
-          (** the failing literal's canonical compiled key segment (the head
-              segment when the head fails) — the same int-coding the
-              failure-constraint store's signatures are prefixes of; [None]
-              under [--no-compiled-eval] *)
     }
 
 (** [explain cov clause example] explains [clause]'s decision on [example],
@@ -42,18 +37,12 @@ let explain cov clause example =
       in
       Covered { witness; supports }
   | Logic.Subsumption.Blocked 0 ->
-      Not_covered
-        {
-          blocking = None;
-          blocking_index = 0;
-          blocking_key = Coverage.blocking_key cov clause 0;
-        }
+      Not_covered { blocking = None; blocking_index = 0 }
   | Logic.Subsumption.Blocked i ->
       Not_covered
         {
           blocking = List.nth_opt (Logic.Clause.body clause) (i - 1);
           blocking_index = i;
-          blocking_key = Coverage.blocking_key cov clause i;
         }
 
 let pp ppf = function

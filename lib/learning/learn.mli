@@ -13,7 +13,6 @@
 
 type config = {
   bc : Bottom_clause.config;
-  subsumption : Logic.Subsumption.config;
   beam_width : int;
   generalization_sample : int;
       (** positives sampled per beam step to drive ARMG (the paper's E+_S) *)

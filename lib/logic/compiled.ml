@@ -221,23 +221,6 @@ type plan = {
 let key p = p.p_key
 let n_body p = Array.length p.p_pred
 
-(* The canonical key is a prefix-free concatenation of per-literal segments
-   [pred; arity; args...] (head first, body in order), so segment boundaries
-   are recoverable from the key alone: read a pred, an arity, then exactly
-   arity args. *)
-let key_bounds k =
-  let n = Array.length k in
-  let acc = ref [ 0 ] and p = ref 0 in
-  while !p < n do
-    p := !p + 2 + k.(!p + 1);
-    acc := !p :: !acc
-  done;
-  Array.of_list (List.rev !acc)
-
-let key_segment k ~index =
-  let b = key_bounds k in
-  Array.sub k b.(index) (b.(index + 1) - b.(index))
-
 (** [compile tab clause] — int-code [clause] against [tab]. Pure up to
     interning: recompiling yields an equal plan, so an evicted plan cache
     never changes results. *)

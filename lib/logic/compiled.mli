@@ -59,19 +59,6 @@ val key : plan -> int array
 
 val n_body : plan -> int
 
-(** [key_bounds k] — the literal-segment boundaries of a canonical key:
-    [bounds.(i)] is the offset where segment [i] starts (segment 0 is the
-    head, segment [i ≥ 1] is body literal [i]), and the final element is
-    [Array.length k]. Each segment is [pred; arity; args...], so boundaries
-    are recoverable from the key alone — the property the failure-constraint
-    store's prefix signatures rely on. *)
-val key_bounds : int array -> int array
-
-(** [key_segment k ~index] — the canonical key of literal [index] alone
-    (head = 0, body literal [i] = [i]): what {!Explain} attaches to
-    not-covered verdicts. *)
-val key_segment : int array -> index:int -> int array
-
 type scratch
 (** Reusable evaluation arenas. Not thread-safe — use one per worker
     domain (e.g. via [Domain.DLS]). *)

@@ -166,6 +166,22 @@ let snapshot () =
   List.map (fun (name, t) -> (name, counts t)) (Atomic.get registry)
   |> List.sort compare
 
+(* The frontends' flag semantics, shared by the CLI, the server and the
+   bench: a layer list arms those layers; a bare probability means the
+   pool layer. *)
+let arm ?p_kill ?p_fault ?layers ~seed () =
+  let layers =
+    match (layers, p_fault) with
+    | Some l, _ ->
+        String.split_on_char ',' l
+        |> List.map String.trim
+        |> List.filter (fun s -> s <> "")
+    | None, Some _ -> [ "pool" ]
+    | None, None -> []
+  in
+  if layers <> [] then
+    configure ?p_kill ~p_fault:(Option.value p_fault ~default:0.) ~seed layers
+
 let from_env () =
   match Sys.getenv_opt "AUTOBIAS_CHAOS_LAYERS" with
   | None | Some "" -> ()
@@ -185,7 +201,4 @@ let from_env () =
               float_of_string_opt
             |> Option.value ~default:0.
           in
-          configure ~p_kill ~p_fault:p ~seed
-            (String.split_on_char ',' layers
-            |> List.map String.trim
-            |> List.filter (fun s -> s <> "")))
+          arm ~p_kill ~p_fault:p ~layers ~seed ())

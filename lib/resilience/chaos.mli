@@ -86,6 +86,15 @@ val configure :
   string list ->
   unit
 
+(** [arm ?p_kill ?p_fault ?layers ~seed ()] — the [--chaos P],
+    [--chaos-layers L,..] and [--chaos-kill P] flags of every frontend
+    (CLI, server, bench) in one place. [layers] is a comma list (or
+    ["all"]) armed at [p_fault] (default [0.]); without [layers], a
+    [p_fault] alone arms exactly the ["pool"] layer. A no-op when both are
+    absent. Raises [Invalid_argument] on an unknown layer name. *)
+val arm :
+  ?p_kill:float -> ?p_fault:float -> ?layers:string -> seed:int -> unit -> unit
+
 (** [clear ()] removes every configured layer (test teardown). *)
 val clear : unit -> unit
 

@@ -1,14 +1,17 @@
 (* The compiled evaluation kernel's contract: bit-identity with the
-   symbolic frontier engine. Oracle-equality properties (verdicts AND
-   witnesses, including truncated frontiers at tiny caps), plus learner
-   A/B checks that --no-compiled-eval runs are bit-identical at a fixed
-   seed — sequentially and under a pool — with memo hit-rate parity. *)
+   symbolic frontier engine, which stays as the test oracle. Coverage-level
+   and kernel-level oracle equality (verdicts AND witnesses, including
+   truncated frontiers at tiny caps), injectivity of the canonical int key
+   the verdict memo is keyed by, and the memo on/off learner A/B. *)
 
 module Coverage = Learning.Coverage
 module Learn = Learning.Learn
-module Pool = Parallel.Pool
 module Compiled = Logic.Compiled
 module Subsumption = Logic.Subsumption
+module Term = Logic.Term
+module Literal = Logic.Literal
+module Clause = Logic.Clause
+module Value = Relational.Value
 
 let verdict_eq a b =
   match (a, b) with
@@ -19,6 +22,14 @@ let verdict_eq a b =
 
 let truncations b = (Budget.counters b).Budget.coverage_truncated
 
+(* The symbolic oracle for [Coverage.eval]: the frontier engine run
+   directly on the context's cached ground BC, head bound first. *)
+let oracle ?budget cov c e =
+  match Coverage.head_subst c e with
+  | None -> Subsumption.Blocked 0
+  | Some subst ->
+      Subsumption.eval_prefix ?budget ~subst c (Coverage.ground_of cov e)
+
 let kernel_properties =
   [
     QCheck_alcotest.to_alcotest
@@ -26,24 +37,23 @@ let kernel_properties =
          ~name:"compiled coverage equals the symbolic oracle" ~count:8
          QCheck.(pair (int_bound 1000) small_nat)
          (fun (seed, j) ->
-           (* Two uncached contexts over the same world and master seed —
-              one compiled, one symbolic. Every verdict must agree exactly:
-              equal blocking indexes, witnesses equal under
-              Substitution.compare, and the same number of frontier
-              truncations (the budgeted give-up path). *)
+           (* Every verdict must agree exactly with the oracle: equal
+              blocking indexes, witnesses equal under Substitution.compare.
+              First on an uncached, unpruned context, where every verdict is
+              a real evaluation, so the frontier truncations (the budgeted
+              give-up path) must also match in number. Then on a default
+              context (memo and failure-constraint store on), each pair
+              asked twice, so memo hits and store probes answer too. *)
            let s = 1 + (seed mod 17) in
            let d = Datasets.Uw.generate ~seed:s ~scale:0.3 () in
-           (* pruning off: the truncation-parity check needs every verdict
-              to come from a real evaluation on both sides (the prune store
-              only exists under the compiled engine) *)
-           let mk use_compiled budget =
-             Coverage.create ~use_cache:false ~use_compiled
-               ~use_pruning:false ~budget d.Datasets.Dataset.db
-               d.Datasets.Dataset.manual_bias
+           let mk ?budget ~use_cache ~use_pruning () =
+             Coverage.create ?budget ~use_cache ~use_pruning
+               d.Datasets.Dataset.db d.Datasets.Dataset.manual_bias
                ~rng:(Random.State.make [| s; 77 |])
            in
            let b_c = Budget.create () and b_s = Budget.create () in
-           let compiled = mk true b_c and symbolic = mk false b_s in
+           let plain = mk ~budget:b_c ~use_cache:false ~use_pruning:false () in
+           let full = mk ~use_cache:true ~use_pruning:true () in
            let pos = Array.of_list d.Datasets.Dataset.positives in
            let bc =
              Learning.Bottom_clause.build d.Datasets.Dataset.db
@@ -51,25 +61,23 @@ let kernel_properties =
                ~rng:(Random.State.make [| s; 99 |])
                ~example:pos.(j mod Array.length pos)
            in
-           let body = Logic.Clause.body bc in
+           let body = Clause.body bc in
            let half = List.filteri (fun i _ -> 2 * i < List.length body) body in
-           let clauses =
-             [ bc; Logic.Clause.make (Logic.Clause.head bc) half ]
-           in
+           let clauses = [ bc; Clause.make (Clause.head bc) half ] in
            let examples =
              d.Datasets.Dataset.positives @ d.Datasets.Dataset.negatives
            in
-           Coverage.compiled_enabled compiled
-           && (not (Coverage.compiled_enabled symbolic))
-           && List.for_all
-                (fun c ->
-                  List.for_all
-                    (fun e ->
-                      verdict_eq (Coverage.eval compiled c e)
-                        (Coverage.eval symbolic c e))
-                    examples)
-                clauses
-           && truncations b_c = truncations b_s));
+           let for_all_pairs f =
+             List.for_all (fun c -> List.for_all (f c) examples) clauses
+           in
+           for_all_pairs (fun c e ->
+               verdict_eq (Coverage.eval plain c e)
+                 (oracle ~budget:b_s plain c e))
+           && truncations b_c = truncations b_s
+           && for_all_pairs (fun c e ->
+                  let expected = oracle full c e in
+                  verdict_eq (Coverage.eval full c e) expected
+                  && verdict_eq (Coverage.eval full c e) expected)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"compiled kernel equals eval_prefix at tiny frontier caps"
@@ -121,75 +129,115 @@ let kernel_properties =
              [ 3; 8; 24 ]));
   ]
 
-(* ---------------- Learner A/B: --no-compiled-eval ---------------- *)
 
-let learn_uw ?pool ?(use_compiled = true) ?(use_cache = true) ~seed () =
+(* ---------------- Canonical key injectivity ---------------- *)
+
+(* Clauses over a tiny vocabulary, so equal keys actually occur: variables
+   0..3, constants Int 0..3 and lowercase strings. Constants print as
+   Datalog constants (lowercase or numeric, never a variable name), the
+   domain on which [Clause.to_string] is itself injective. *)
+let term_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Term.Var i) (int_bound 3);
+        map (fun i -> Term.Const (Value.Int i)) (int_bound 3);
+        map (fun s -> Term.Const (Value.Str s)) (oneofl [ "a"; "b" ]);
+      ])
+
+let literal_gen pred =
+  QCheck.Gen.(
+    map
+      (fun args -> Literal.make pred (Array.of_list args))
+      (list_size (int_range 1 2) term_gen))
+
+let clause_gen =
+  QCheck.Gen.(
+    map2 Clause.make (literal_gen "t")
+      (list_size (int_bound 3) (oneofl [ "p"; "q" ] >>= literal_gen)))
+
+let map_terms f c =
+  let lit l = Literal.make (Literal.pred l) (Array.map f (Literal.args l)) in
+  Clause.make (lit (Clause.head c)) (List.map lit (Clause.body c))
+
+(* A second clause related to the first: itself, an α-variant (variables
+   renamed by a permutation), a constant/variable collision (variable [i]
+   replaced by the constant [Int i], or the reverse), or an unrelated
+   clause. *)
+let related_gen c =
+  QCheck.Gen.(
+    oneof
+      [
+        return c;
+        map
+          (fun perm ->
+            let perm = Array.of_list perm in
+            map_terms
+              (function Term.Var i -> Term.Var perm.(i) | t -> t)
+              c)
+          (shuffle_l [ 0; 1; 2; 3 ]);
+        map
+          (fun v ->
+            map_terms
+              (function
+                | Term.Var i when i = v -> Term.Const (Value.Int i) | t -> t)
+              c)
+          (int_bound 3);
+        map
+          (fun v ->
+            map_terms
+              (function
+                | Term.Const (Value.Int i) when i = v -> Term.Var i | t -> t)
+              c)
+          (int_bound 3);
+        clause_gen;
+      ])
+
+let key_properties =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"canonical key is injective exactly where to_string is"
+         ~count:500
+         (QCheck.make
+            ~print:(fun (c1, c2) ->
+              Clause.to_string c1 ^ "  vs  " ^ Clause.to_string c2)
+            QCheck.Gen.(clause_gen >>= fun c -> pair (return c) (related_gen c)))
+         (fun (c1, c2) ->
+           (* The verdict memo is keyed by the int key alone: two clauses
+              may share a memo entry only if they print identically. *)
+           let tab = Compiled.Symtab.create () in
+           let key c = Compiled.key (Compiled.compile tab c) in
+           key c1 = key c2 = (Clause.to_string c1 = Clause.to_string c2)));
+  ]
+
+(* ---------------- Learner A/B: verdict memo on/off ---------------- *)
+
+let learn_uw ?(use_cache = true) ~seed () =
   let d = Datasets.Uw.generate ~seed ~scale:0.4 () in
   let rng = Random.State.make [| seed |] in
-  (* pruning off: the A/B below asserts exact subsumption-try and
-     truncation parity between compiled and symbolic runs; the prune store
-     (compiled-only) would break the counts. Its own A/B is test_prune. *)
   let cov =
-    Coverage.create ~use_cache ~use_compiled ~use_pruning:false
-      d.Datasets.Dataset.db d.Datasets.Dataset.manual_bias ~rng
+    Coverage.create ~use_cache d.Datasets.Dataset.db
+      d.Datasets.Dataset.manual_bias ~rng
   in
-  let config = { Learn.default_config with timeout = Some 600.; pool } in
+  let config = { Learn.default_config with timeout = Some 600. } in
   Learn.learn ~config cov ~rng ~positives:d.Datasets.Dataset.positives
     ~negatives:d.Datasets.Dataset.negatives
 
-let render def = Logic.Clause.definition_to_string def
+let render def = Clause.definition_to_string def
 
 let ab_tests =
   [
-    Alcotest.test_case
-      "compiled on/off: bit-identical definitions, memo parity" `Slow
-      (fun () ->
-        (* The tentpole acceptance criterion: on a fixed seed the compiled
-           kernel must be invisible to results — and the canonical int-id
-           memo key must hit exactly as often as the printed-clause key. *)
-        let compiled = learn_uw ~use_compiled:true ~seed:5 () in
-        let symbolic = learn_uw ~use_compiled:false ~seed:5 () in
-        Alcotest.(check string) "identical definition"
-          (render symbolic.Learn.definition)
-          (render compiled.Learn.definition);
-        Alcotest.(check bool) "nonempty" true (compiled.Learn.definition <> []);
-        let counters r = r.Learn.degradation.Budget.counters in
-        Alcotest.(check int) "memo hit parity"
-          (counters symbolic).Budget.coverage_memo_hits
-          (counters compiled).Budget.coverage_memo_hits;
-        Alcotest.(check int) "memo miss parity"
-          (counters symbolic).Budget.coverage_memo_misses
-          (counters compiled).Budget.coverage_memo_misses;
-        Alcotest.(check int) "same subsumption work"
-          (counters symbolic).Budget.subsumption_tries
-          (counters compiled).Budget.subsumption_tries;
-        Alcotest.(check int) "same frontier truncations"
-          (counters symbolic).Budget.coverage_truncated
-          (counters compiled).Budget.coverage_truncated);
-    Alcotest.test_case "compiled on/off under a pool: bit-identical" `Slow
-      (fun () ->
-        let plain = learn_uw ~use_compiled:false ~seed:5 () in
-        List.iter
-          (fun use_compiled ->
-            let pooled =
-              Pool.with_pool ~size:1 (fun p ->
-                  learn_uw ~pool:p ~use_compiled ~seed:5 ())
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "pool=1 compiled=%b: identical definition"
-                 use_compiled)
-              (render plain.Learn.definition)
-              (render pooled.Learn.definition))
-          [ true; false ]);
     Alcotest.test_case "uncached compiled run matches the cached one" `Slow
       (fun () ->
-        (* The memo and the kernel compose: toggling either knob never
+        (* The memo and the kernel compose: toggling the memo never
            changes the definition. *)
         let cached = learn_uw ~use_cache:true ~seed:5 () in
         let uncached = learn_uw ~use_cache:false ~seed:5 () in
         Alcotest.(check string) "identical definition"
           (render cached.Learn.definition)
-          (render uncached.Learn.definition));
+          (render uncached.Learn.definition);
+        Alcotest.(check bool) "nonempty" true (cached.Learn.definition <> []));
   ]
 
-let suite = kernel_properties @ ab_tests
+let suite = kernel_properties @ key_properties @ ab_tests

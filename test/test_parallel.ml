@@ -9,11 +9,17 @@ module Coverage = Learning.Coverage
 
 (* One pool shared by the whole suite: spawning domains per test would
    dominate runtime. Sized 2 to exercise real concurrency where cores
-   allow. AUTOBIAS_CHAOS=P turns on seeded fault injection for the whole
-   suite (the CI chaos job): every result assertion must still hold, since
-   killed pool jobs only lose parallelism, never results. *)
+   allow. AUTOBIAS_CHAOS_LAYERS=pool AUTOBIAS_CHAOS=P turns on seeded fault
+   injection into this pool for the whole suite (the CI chaos job): every
+   result assertion must still hold, since killed pool jobs only lose
+   parallelism, never results. The pool keeps the injector; the registry is
+   cleared again so the chaos-registry tests start from an empty one. *)
 let shared_pool =
-  lazy (Pool.create ~size:2 ?chaos:(Parallel.Fault.from_env ()) ())
+  lazy
+    (Chaos.from_env ();
+     let chaos = Chaos.get "pool" in
+     Chaos.clear ();
+     Pool.create ~size:2 ?chaos ())
 
 let pool () = Lazy.force shared_pool
 

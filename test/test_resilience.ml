@@ -271,6 +271,16 @@ let chaos_tests =
         Alcotest.(check (list string)) "cleared" [] (Chaos.active ());
         Alcotest.(check bool) "nothing fires after clear" false
           (Chaos.fires "memo"));
+    Alcotest.test_case "--chaos P without layers arms exactly the pool"
+      `Quick (fun () ->
+        (* the flag semantics every frontend shares *)
+        Chaos.arm ~p_fault:0.3 ~seed:0 ();
+        Fun.protect ~finally:Chaos.clear (fun () ->
+            Alcotest.(check (list string)) "pool only" [ "pool" ]
+              (Chaos.active ()));
+        Chaos.arm ~seed:0 ();
+        Alcotest.(check (list string)) "no flags, no layers" []
+          (Chaos.active ()));
     Alcotest.test_case "unknown layer names are refused" `Quick (fun () ->
         match Chaos.configure ~p_fault:0.5 ~seed:0 [ "warp-drive" ] with
         | () -> Alcotest.fail "unknown layer accepted"
