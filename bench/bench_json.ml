@@ -3,11 +3,11 @@
    Every experiment records (key, value) metrics under its experiment name;
    the driver writes the merged map to BENCH_autobias.json at the end of the
    run so the perf trajectory can be tracked across PRs (and uploaded as a
-   CI artifact). The writer is hand-rolled — no JSON dependency — and emits
+   CI artifact). It renders through {!Obs.Json} as
 
      { "meta": {..}, "experiments": { "<experiment>": { "<key>": value } } }
 
-   with experiments and keys in first-recorded order. *)
+   with experiments and keys sorted. *)
 
 type value =
   | F of float
@@ -20,9 +20,8 @@ type value =
 let records : (string * (string * value) list) list ref = ref []
 let meta : (string * value) list ref = ref []
 
-(* Pre-rendered JSON object (the Obs run report) emitted verbatim as a
-   top-level "run_report" section. *)
-let report : string option ref = ref None
+(* The Obs run report, emitted as a top-level "run_report" section. *)
+let report : Obs.Json.t option ref = ref None
 
 let set_report json = report := Some json
 
@@ -41,28 +40,11 @@ let set_meta metrics =
       else meta := !meta @ [ (k, v) ])
     metrics
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let value_to_string = function
-  | F f when Float.is_nan f || f = Float.infinity || f = Float.neg_infinity ->
-      "null"
-  | F f -> Printf.sprintf "%.6g" f
-  | I i -> string_of_int i
-  | S s -> Printf.sprintf "\"%s\"" (escape s)
-  | B b -> string_of_bool b
+let value_to_json = function
+  | F f -> Obs.Json.Float f (* non-finite floats render as null *)
+  | I i -> Obs.Json.Int i
+  | S s -> Obs.Json.Str s
+  | B b -> Obs.Json.Bool b
 
 (* Canonical key order: sorted, duplicates collapsed to the last recorded
    value. Byte-stable output whatever order experiments ran or re-recorded
@@ -71,46 +53,30 @@ let value_to_string = function
 let canonical metrics =
   let tbl = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) metrics;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Obs.Json.Obj
+    (Hashtbl.fold (fun k v acc -> (k, value_to_json v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b))
 
-let metrics_to_string metrics =
-  canonical metrics
-  |> List.map (fun (k, v) ->
-         Printf.sprintf "\"%s\": %s" (escape k) (value_to_string v))
-  |> String.concat ", "
-
-(* Merge repeated records of one experiment; experiments come out sorted by
-   name (key order inside each is handled by [canonical]). *)
-let merged () =
-  let order = ref [] in
+(* Repeated records of one experiment merge; experiments come out sorted
+   by name (key order inside each is handled by [canonical]). *)
+let fields () =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (exp, metrics) ->
-      if not (Hashtbl.mem tbl exp) then begin
-        order := exp :: !order;
-        Hashtbl.replace tbl exp []
-      end;
-      Hashtbl.replace tbl exp (Hashtbl.find tbl exp @ metrics))
+      let prev = Option.value (Hashtbl.find_opt tbl exp) ~default:[] in
+      Hashtbl.replace tbl exp (prev @ metrics))
     !records;
-  List.rev_map (fun exp -> (exp, Hashtbl.find tbl exp)) !order
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let experiments =
+    Hashtbl.fold (fun exp metrics acc -> (exp, canonical metrics) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  [ ("meta", canonical !meta); ("experiments", Obs.Json.Obj experiments) ]
 
 let write path =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"meta\": { %s },\n  \"experiments\": {\n"
-    (metrics_to_string !meta);
-  let exps = merged () in
-  List.iteri
-    (fun i (exp, metrics) ->
-      Printf.fprintf oc "    \"%s\": { %s }%s\n" (escape exp)
-        (metrics_to_string metrics)
-        (if i < List.length exps - 1 then "," else ""))
-    exps;
-  (match !report with
-  | Some j -> Printf.fprintf oc "  },\n  \"run_report\": %s\n}\n" j
-  | None -> Printf.fprintf oc "  }\n}\n");
-  close_out oc
+  let run_report =
+    match !report with Some r -> [ ("run_report", r) ] | None -> []
+  in
+  Obs.Json.write path (Obs.Json.Obj (fields () @ run_report))
 
 (* {2 The bench history} — one compact JSON line per bench run, appended to
    an ever-growing JSONL file. The regression sentinel (bin/autobias_obs
@@ -118,17 +84,8 @@ let write path =
    baseline; the provenance fields in meta say which commit/host/core-count
    produced each line. *)
 
-let history_line () =
-  Printf.sprintf "{\"meta\": {%s}, \"experiments\": {%s}}"
-    (metrics_to_string !meta)
-    (merged ()
-    |> List.map (fun (exp, metrics) ->
-           Printf.sprintf "\"%s\": {%s}" (escape exp)
-             (metrics_to_string metrics))
-    |> String.concat ", ")
-
 let append_history path =
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  output_string oc (history_line ());
+  output_string oc (Obs.Json.to_string (Obs.Json.Obj (fields ())));
   output_char oc '\n';
   close_out oc

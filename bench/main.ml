@@ -94,13 +94,9 @@ let default_scale = function "uw" -> 1.0 | _ -> 0.6
 
 let generate name =
   let scale = Option.value options.scale ~default:(default_scale name) in
-  match name with
-  | "uw" -> Datasets.Uw.generate ~seed:options.seed ~scale ()
-  | "imdb" -> Datasets.Imdb.generate ~seed:options.seed ~scale ()
-  | "hiv" -> Datasets.Hiv.generate ~seed:options.seed ~scale ()
-  | "flt" -> Datasets.Flt.generate ~seed:options.seed ~scale ()
-  | "sys" -> Datasets.Sys_data.generate ~seed:options.seed ~scale ()
-  | s -> invalid_arg ("unknown dataset: " ^ s)
+  match Datasets.Registry.generate ~name ~scale ~seed:options.seed with
+  | Ok d -> d
+  | Error msg -> invalid_arg msg
 
 let selected_datasets () = List.map (fun n -> (n, generate n)) options.data
 
@@ -1570,7 +1566,7 @@ let () =
       ?degradation:(Option.map Budget.degradation !the_budget)
       ()
   in
-  Bench_json.set_report (Obs.Json.to_string (Obs.Run_report.to_json report));
+  Bench_json.set_report (Obs.Run_report.to_json report);
   Option.iter
     (fun path ->
       Obs.Run_report.write report path;

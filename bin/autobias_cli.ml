@@ -11,13 +11,10 @@ open Cmdliner
 
 (* ---------------- shared arguments ---------------- *)
 
-let dataset_of_name ~scale ~seed = function
-  | "uw" -> Datasets.Uw.generate ~seed ~scale ()
-  | "imdb" -> Datasets.Imdb.generate ~seed ~scale ()
-  | "hiv" -> Datasets.Hiv.generate ~seed ~scale ()
-  | "flt" -> Datasets.Flt.generate ~seed ~scale ()
-  | "sys" -> Datasets.Sys_data.generate ~seed ~scale ()
-  | s -> invalid_arg ("unknown dataset: " ^ s)
+let dataset_of_name ~scale ~seed name =
+  match Datasets.Registry.generate ~name ~scale ~seed with
+  | Ok d -> d
+  | Error msg -> invalid_arg msg
 
 let dataset_arg =
   let doc = "Dataset: uw, imdb, hiv, flt or sys." in

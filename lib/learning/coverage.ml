@@ -46,15 +46,49 @@ let m_ground_bcs = Obs.Metrics.counter "coverage.ground_bcs_built"
    verdict outside any lock (racing duplicates insert the same value).
    Stripes are capped so a long run cannot grow the table without bound:
    once a stripe is full, new verdicts are simply not remembered — which is
-   deterministic, verdicts being pure. *)
+   deterministic, verdicts being pure. Like the failure-constraint store,
+   the memo is never checkpointed: a resumed run recomputes what it needs. *)
 
 let memo_stripes = 16
 let memo_stripe_cap = 1 lsl 14  (** per stripe; ~256k entries in total *)
 
+(* The memo hash reads the whole clause key and the example. [Hashtbl.hash]
+   on the pair would stop after 10 ints, all from the clause key (real keys
+   are longer), and put every verdict of one clause in one bucket chain. *)
+let memo_hash key example =
+  Hashtbl.hash
+    (Array.fold_left
+       (fun acc x -> (acc * 31) + x)
+       (Relational.Relation.hash_tuple example)
+       key)
+
+(* Memo keys carry their hash, computed once per lookup. [Hashtbl] picks
+   buckets from the low bits of it; the stripe takes the top 4 of its 30
+   bits, so each stripe's table spreads over all its buckets. *)
+type memo_key = {
+  hash : int;
+  clause_key : int array;
+  example : Relational.Relation.tuple;
+}
+
+let memo_key clause_key example =
+  { hash = memo_hash clause_key example; clause_key; example }
+
+let memo_stripe k = (k.hash lsr 26) land (memo_stripes - 1)
+
+module Memo_tbl = Hashtbl.Make (struct
+  type t = memo_key
+
+  let equal a b =
+    a.hash = b.hash
+    && a.clause_key = b.clause_key
+    && Relational.Relation.equal_tuple a.example b.example
+
+  let hash k = k.hash
+end)
+
 type memo = {
-  tables :
-    (int array * Relational.Relation.tuple, Logic.Subsumption.verdict) Hashtbl.t
-    array;
+  tables : Logic.Subsumption.verdict Memo_tbl.t array;
   locks : Mutex.t array;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -101,7 +135,7 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
       (if use_cache then
          Some
            {
-             tables = Array.init memo_stripes (fun _ -> Hashtbl.create 512);
+             tables = Array.init memo_stripes (fun _ -> Memo_tbl.create 512);
              locks = Array.init memo_stripes (fun _ -> Mutex.create ());
              hits = Atomic.make 0;
              misses = Atomic.make 0;
@@ -129,7 +163,7 @@ let cache_stats t =
       Array.iteri
         (fun i tbl ->
           Mutex.lock m.locks.(i);
-          entries := !entries + Hashtbl.length tbl;
+          entries := !entries + Memo_tbl.length tbl;
           Mutex.unlock m.locks.(i))
         m.tables;
       {
@@ -147,13 +181,10 @@ let with_budget t budget = { t with budget = Some budget }
 let bias t = t.bias
 let database t = t.db
 
-(* A stable structural hash of the example tuple: the per-example RNG must
-   not depend on physical identity or insertion order. *)
-let example_hash (example : Relational.Relation.tuple) =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 example
-
+(* The per-example RNG must not depend on physical identity or insertion
+   order, hence the structural tuple hash. *)
 let example_rng t example =
-  Random.State.make [| t.seed_base; example_hash example |]
+  Random.State.make [| t.seed_base; Relational.Relation.hash_tuple example |]
 
 let ground_entry_of t example =
   Mutex.lock t.lock;
@@ -307,11 +338,11 @@ let eval_src t clause example =
      identical, so chaos here degrades throughput, never correctness. *)
   | Some _ when Chaos.fires "memo" -> (compute t clause example, false)
   | Some m -> (
-      let key = (Eval_plan.key t.compiled clause, example) in
-      let s = Hashtbl.hash key mod memo_stripes in
+      let key = memo_key (Eval_plan.key t.compiled clause) example in
+      let s = memo_stripe key in
       let lock = m.locks.(s) and tbl = m.tables.(s) in
       Mutex.lock lock;
-      let cached = Hashtbl.find_opt tbl key in
+      let cached = Memo_tbl.find_opt tbl key in
       Mutex.unlock lock;
       match cached with
       | Some v ->
@@ -323,8 +354,8 @@ let eval_src t clause example =
           Budget.hit_opt t.budget Budget.Coverage_memo_miss;
           let v = compute t clause example in
           Mutex.lock lock;
-          if Hashtbl.length tbl < memo_stripe_cap && not (Hashtbl.mem tbl key)
-          then Hashtbl.add tbl key v;
+          if Memo_tbl.length tbl < memo_stripe_cap && not (Memo_tbl.mem tbl key)
+          then Memo_tbl.add tbl key v;
           Mutex.unlock lock;
           (v, false))
 
@@ -372,27 +403,3 @@ let count_many ?pool t clause examples =
     [example] (Horn-definition coverage, Definition 2.4). *)
 let definition_covers t def example =
   List.exists (fun c -> covers t c example) def
-
-(* {2 Constraint persistence} — the failure-constraint store rides along in
-   learner checkpoints as an opaque string (interned ids decoded to symbols
-   so another process can re-encode them). Constraints are monotone facts
-   of (seed, example, prefix): importing them restores pruning power but
-   cannot change a verdict, so resumed runs stay bit-identical. *)
-
-let export_constraints t =
-  match t.prune with
-  | Some ps ->
-      Marshal.to_string (Prune.export ps (Eval_plan.symtab t.compiled)) []
-  | None -> ""
-
-let import_constraints t s =
-  if String.length s > 0 then
-    match t.prune with
-    | Some ps -> (
-        match (Marshal.from_string s 0 : Prune.exported) with
-        | exported -> Prune.import ps (Eval_plan.symtab t.compiled) exported
-        (* A checkpoint from a binary with a different payload layout: the
-           version gate should have caught it, but constraints are a pure
-           accelerant, so the safe degradation is to start cold. *)
-        | exception _ -> ())
-    | None -> ()

@@ -54,6 +54,10 @@ val prune_stats : t -> prune_stats
 (** [cache_stats t] — a consistent-enough snapshot of the verdict memo. *)
 val cache_stats : t -> cache_stats
 
+(** [memo_hash key example] — the verdict memo's hash of a (canonical clause
+    key, example) pair. It reads every int of [key] and the whole example. *)
+val memo_hash : int array -> Relational.Relation.tuple -> int
+
 (** [with_budget t budget] is [t] reporting into [budget]: a shallow copy
     sharing the ground-BC cache (and its mutex) — concurrent learns each
     get their own counters without duplicating cached work. *)
@@ -91,15 +95,6 @@ val probe_pruned :
   Logic.Clause.t ->
   Relational.Relation.tuple ->
   Logic.Subsumption.verdict option
-
-(** [export_constraints t] — the failure-constraint store as an opaque
-    checkpoint payload ([""] when pruning is off). *)
-val export_constraints : t -> string
-
-(** [import_constraints t s] restores an {!export_constraints} payload
-    (no-op on [""], pruning off, or an undecodable payload — constraints
-    are an accelerant, so the safe degradation is to start cold). *)
-val import_constraints : t -> string -> unit
 
 val covers : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool
 

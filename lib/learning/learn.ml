@@ -682,11 +682,7 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
       base_elapsed := ck.Resilience.Checkpoint.elapsed_s;
       (* Credit the prior run's degradation counters so the resumed run's
          report covers the whole logical run, not just the tail. *)
-      Budget.add_assoc budget ck.Resilience.Checkpoint.counters;
-      (* Re-arm the failure-constraint store: the snapshot's constraints
-         are facts of (seed, example, prefix), so importing them only
-         restores pruning power — verdicts cannot change. *)
-      Coverage.import_constraints cov ck.Resilience.Checkpoint.constraints);
+      Budget.add_assoc budget ck.Resilience.Checkpoint.counters);
   let emit_checkpoint () =
     match config.checkpoint with
     | Some sink when !boundary mod max 1 config.checkpoint_every = 0 ->
@@ -703,7 +699,6 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
             rng = Random.State.copy rng;
             counters = Budget.counters_to_assoc (Budget.counters budget);
             elapsed_s = !base_elapsed +. (Unix.gettimeofday () -. t0);
-            constraints = Coverage.export_constraints cov;
           }
         in
         let outcome = try sink ck with _ -> `Skipped in

@@ -25,12 +25,6 @@ module Symtab : sig
   val create : unit -> t
   val pred_id : t -> string -> int
   val const_id : t -> Relational.Value.t -> int
-
-  (** [value t id] — the constant interned as [id]. *)
-  val value : t -> int -> Relational.Value.t
-
-  (** [pred_name t id] — the predicate symbol interned as [id]. *)
-  val pred_name : t -> int -> string
 end
 
 type ground

@@ -14,6 +14,9 @@ let pp_tuple ppf (t : tuple) =
 let tuple_to_string t = Fmt.str "%a" pp_tuple t
 let equal_tuple (a : tuple) b = a = b
 
+let hash_tuple (t : tuple) =
+  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
+
 type index = {
   by_value : (int * tuple list) Value.Table.t;
       (** value -> (bucket length, tuples with that value): the length rides

@@ -8,6 +8,11 @@ val pp_tuple : Format.formatter -> tuple -> unit
 val tuple_to_string : tuple -> string
 val equal_tuple : tuple -> tuple -> bool
 
+(** [hash_tuple t] — a stable structural hash consistent with
+    {!equal_tuple}: independent of physical identity and insertion order,
+    so it can seed per-example random streams. *)
+val hash_tuple : tuple -> int
+
 type t
 
 (** [create schema] is an empty instance of [schema]. *)

@@ -1,21 +1,21 @@
 (** Versioned learner checkpoints. See checkpoint.mli for the contract.
 
-    A checkpoint captures the covering loop's complete state at a clause
-    boundary: the definition so far, which original positives remain
-    uncovered (as indices, so the snapshot is small and re-anchors against
-    the caller's example list on resume), the skip counters, and the
-    learner RNG — the one piece that makes resumption {e bit-identical}:
-    every random draw the continuation will make is determined by it.
+    A checkpoint captures the covering loop's state at a clause boundary:
+    the definition so far, which original positives remain uncovered (as
+    indices, so the snapshot is small and re-anchors against the caller's
+    example list on resume), the skip counters, and the learner RNG — the
+    one piece that makes resumption {e bit-identical}: every random draw
+    the continuation will make is determined by it. Caches of verdicts (the
+    coverage memo, the failure-constraint store) are not learner state and
+    stay out: a resumed run recomputes them.
 
-    Serialization is an {!Obs.Json} object. The two stateful payloads —
-    the [Random.State.t] and the learned clauses — ride inside it as
-    hex-encoded [Marshal] blobs: JSON for everything a human or CI smoke
-    wants to read (the clauses also appear as printed strings), Marshal
-    where bit-exactness matters (re-parsing a printed clause only
-    guarantees alpha-equivalence; resuming must restore the {e same}
-    term structure the uninterrupted run holds). The [version] field
-    gates the Marshal payloads: a checkpoint from a different format
-    version is rejected before any unmarshalling. *)
+    Serialization is an {!Obs.Json} object. The [Random.State.t] and the
+    learned clauses ride inside it as hex-encoded [Marshal] blobs (the
+    clauses also appear as printed strings for humans and CI smoke checks;
+    re-parsing a printed clause only guarantees alpha-equivalence, and
+    resuming must restore the {e same} term structure). [Marshal] trusts
+    its input, so two gates run before any blob is decoded: the [version]
+    field, and a [digest] over the rendering of every other field. *)
 
 module Json = Obs.Json
 
@@ -31,24 +31,26 @@ type t = {
   rng : Random.State.t;
   counters : (string * int) list;
   elapsed_s : float;
-  constraints : string;
-      (** opaque failure-constraint store payload (producer-defined;
-          [""] = none) — resumed runs keep their pruning power *)
 }
 
-(* v2: the embedded failure-constraint store ([constraints]). Older
-   snapshots are refused by the version gate below, never reinterpreted. *)
-let version = 2
+(* v3: no failure-constraint store, and a payload [digest]. Older snapshots
+   are refused by the version gate below, never reinterpreted. *)
+let version = 3
 
 let fingerprint_of_strings parts =
   Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
 (* {2 hex-encoded Marshal blobs} *)
 
-let hex_encode s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+let hex_digits = "0123456789abcdef"
+
+let marshal_hex v =
+  let s = Marshal.to_string v [] in
+  String.init
+    (2 * String.length s)
+    (fun i ->
+      let c = Char.code s.[i / 2] in
+      hex_digits.[(if i land 1 = 0 then c lsr 4 else c) land 15])
 
 let hex_decode s =
   if String.length s mod 2 <> 0 then failwith "odd-length hex string"
@@ -57,14 +59,19 @@ let hex_decode s =
       (String.length s / 2)
       (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
 
-let marshal_hex v = hex_encode (Marshal.to_string v [])
-
 let unmarshal_hex s = Marshal.from_string (hex_decode s) 0
 
 (* {2 JSON} *)
 
+(* The digest covers the compact rendering of every field but itself. The
+   renderer is canonical for what it parses back (floats print with 12
+   significant digits, which survive a parse), so a loader re-renders the
+   parsed fields and compares. *)
+let digest_of fields =
+  Digest.to_hex (Digest.string (Json.to_string (Json.Obj fields)))
+
 let to_json t =
-  Json.Obj
+  let fields =
     [
       ("version", Json.Int t.version);
       ("fingerprint", Json.Str t.fingerprint);
@@ -83,9 +90,9 @@ let to_json t =
       ( "counters",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.counters) );
       ("elapsed_s", Json.Float t.elapsed_s);
-      (* opaque bytes; hex keeps the file valid JSON *)
-      ("constraints", Json.Str (hex_encode t.constraints));
     ]
+  in
+  Json.Obj (fields @ [ ("digest", Json.Str (digest_of fields)) ])
 
 let field name j =
   match Json.member name j with
@@ -114,6 +121,16 @@ let of_json j =
          "checkpoint version mismatch: file has v%d, this binary reads v%d" v
          version)
   else
+    let* digest = str_field "digest" j in
+    let* () =
+      match j with
+      | Json.Obj fields
+        when String.equal digest
+               (digest_of (List.filter (fun (k, _) -> k <> "digest") fields))
+        ->
+          Ok ()
+      | _ -> Error "checkpoint: payload digest mismatch (corrupted file)"
+    in
     let* fingerprint = str_field "fingerprint" j in
     let* boundary = int_field "boundary" j in
     let* def_bin = str_field "definition_bin" j in
@@ -156,13 +173,11 @@ let of_json j =
       | Ok _ -> Error "checkpoint: field \"elapsed_s\" is not a number"
       | Error _ as e -> e
     in
-    let* constraints_hex = str_field "constraints" j in
     match
       ( (unmarshal_hex def_bin : Logic.Clause.definition),
-        (unmarshal_hex rng_hex : Random.State.t),
-        hex_decode constraints_hex )
+        (unmarshal_hex rng_hex : Random.State.t) )
     with
-    | definition, rng, constraints ->
+    | definition, rng ->
         Ok
           {
             version = v;
@@ -176,7 +191,6 @@ let of_json j =
             rng;
             counters;
             elapsed_s;
-            constraints;
           }
     | exception e ->
         Error ("checkpoint: corrupt marshal payload: " ^ Printexc.to_string e)
@@ -200,9 +214,16 @@ let save t path =
   if Chaos.fires "checkpoint" then `Skipped
   else
     match
-      let dir = Filename.dirname path in
-      let tmp = Filename.temp_file ~temp_dir:dir "checkpoint" ".tmp" in
-      Json.write tmp (to_json t);
+      let tmp, oc =
+        Filename.open_temp_file ~temp_dir:(Filename.dirname path) "checkpoint"
+          ".tmp"
+      in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc (Json.to_string (to_json t));
+          output_char oc '\n';
+          flush oc);
       Sys.rename tmp path
     with
     | () -> `Written

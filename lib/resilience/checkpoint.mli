@@ -2,18 +2,21 @@
     boundaries and restored by [--resume] — the checkpoint half of the
     resilient runtime.
 
-    The snapshot carries everything the covering loop needs to continue
-    {e bit-identically} to an uninterrupted run at the same seed: the
-    clauses learned so far, the indices of the original positives still
+    The snapshot carries the learner state the covering loop needs to
+    continue {e bit-identically} to an uninterrupted run at the same seed:
+    the clauses learned so far, the indices of the original positives still
     uncovered, the skip/progress counters, the degradation counters, and —
-    crucially — the learner's [Random.State.t] at the boundary. The
-    container is {!Obs.Json}; the RNG and the clause structures travel as
-    hex-encoded [Marshal] blobs inside it (printed clauses only round-trip
-    up to alpha-equivalence; bit-identical resumption needs the exact term
-    structure), with a printed-clause list alongside for humans and CI
-    smoke checks. {!load} refuses files whose [version] differs before
-    touching any Marshal payload, and {!validate} refuses checkpoints whose
-    config fingerprint does not match the resuming run. *)
+    crucially — the learner's [Random.State.t] at the boundary. Caches of
+    verdicts (the coverage memo, the failure-constraint store) stay out; a
+    resumed run recomputes them. The container is {!Obs.Json}; the RNG and
+    the clause structures travel as hex-encoded [Marshal] blobs inside it
+    (printed clauses only round-trip up to alpha-equivalence; bit-identical
+    resumption needs the exact term structure), with a printed-clause list
+    alongside for humans and CI smoke checks. {!load} refuses a file whose
+    [version] differs, then one whose [digest] does not match its other
+    fields, before touching any Marshal payload; {!validate} refuses
+    checkpoints whose config fingerprint does not match the resuming
+    run. *)
 
 type t = {
   version : int;  (** snapshot format version; see {!val-version} *)
@@ -35,26 +38,20 @@ type t = {
   counters : (string * int) list;
       (** {!Budget.counters_to_assoc} snapshot at the boundary *)
   elapsed_s : float;  (** wall-clock spent up to the boundary *)
-  constraints : string;
-      (** opaque failure-constraint store payload ([""] = none). The
-          producer ({!Learning.Coverage}) defines the encoding; resilience
-          just carries the bytes (hex-encoded in the JSON), so the
-          dependency arrow stays learning → resilience *)
 }
 
-(** The snapshot format version this binary reads and writes. v2 added the
-    embedded failure-constraint store; older snapshots are refused by
-    {!of_json}/{!load} with a version-mismatch error. *)
+(** The snapshot format version this binary reads and writes. v3 dropped
+    v2's embedded failure-constraint store and added the payload digest;
+    older snapshots are refused by {!load} with a version-mismatch
+    error. *)
 val version : int
 
 (** [fingerprint_of_strings parts] is a stable hex digest of [parts] — the
     helper run configurations are fingerprinted with. *)
 val fingerprint_of_strings : string list -> string
 
+(** [to_json t] — the snapshot's fields plus a [digest] member over them. *)
 val to_json : t -> Obs.Json.t
-
-(** [of_json j] parses and version-checks a snapshot. *)
-val of_json : Obs.Json.t -> (t, string) result
 
 (** [validate ~fingerprint t] checks [t] was written by a run configured
     like the current one. An empty fingerprint on either side matches
@@ -68,5 +65,7 @@ val validate : fingerprint:string -> t -> (unit, string) result
 val save : t -> string -> [ `Written | `Skipped ]
 
 (** [load path] reads and parses a snapshot; all failures (unreadable,
-    bad JSON, version mismatch, torn payload) come back as [Error]. *)
+    bad JSON, version mismatch, digest mismatch, torn payload) come back as
+    [Error]. A file with any single byte changed loads as [Error] or as the
+    original snapshot; it never reaches [Marshal] corrupted. *)
 val load : string -> (t, string) result

@@ -15,7 +15,8 @@ type error =
 
 let error_to_string = function
   | Unknown_dataset d ->
-      Printf.sprintf "unknown dataset %S (known: uw, imdb, hiv, flt, sys)" d
+      Printf.sprintf "unknown dataset %S (known: %s)" d
+        (String.concat ", " Datasets.Registry.names)
   | Generation_failed { dataset; message } ->
       Printf.sprintf "generating %S failed: %s" dataset message
 
@@ -26,17 +27,6 @@ type t = {
 
 let create () = { entries = Atomic.make []; load_lock = Mutex.create () }
 
-let known = [ "uw"; "imdb"; "hiv"; "flt"; "sys" ]
-
-let generate ~name ~scale ~seed =
-  match name with
-  | "uw" -> Ok (Datasets.Uw.generate ~seed ~scale ())
-  | "imdb" -> Ok (Datasets.Imdb.generate ~seed ~scale ())
-  | "hiv" -> Ok (Datasets.Hiv.generate ~seed ~scale ())
-  | "flt" -> Ok (Datasets.Flt.generate ~seed ~scale ())
-  | "sys" -> Ok (Datasets.Sys_data.generate ~seed ~scale ())
-  | _ -> Error (Unknown_dataset name)
-
 let find t key = List.assoc_opt key (Atomic.get t.entries)
 
 let load t ~name ~scale ~seed =
@@ -44,31 +34,26 @@ let load t ~name ~scale ~seed =
   match find t key with
   | Some d -> Ok d
   | None ->
-      if not (List.mem name known) then Error (Unknown_dataset name)
-      else begin
-        Mutex.lock t.load_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.load_lock)
-          (fun () ->
-            (* double-check: another domain may have published it while we
-               waited for the load lock *)
-            match find t key with
-            | Some d -> Ok d
-            | None -> (
-                match
-                  try generate ~name ~scale ~seed
-                  with e ->
-                    Error
-                      (Generation_failed
-                         { dataset = name; message = Printexc.to_string e })
-                with
-                | Error _ as e -> e
-                | Ok d ->
-                    (* the load lock is held: a plain read-modify-write
-                       cannot race another publisher *)
-                    Atomic.set t.entries ((key, d) :: Atomic.get t.entries);
-                    Ok d))
-      end
+      Mutex.lock t.load_lock;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.load_lock)
+        (fun () ->
+          (* double-check: another domain may have published it while we
+             waited for the load lock *)
+          match find t key with
+          | Some d -> Ok d
+          | None -> (
+              match Datasets.Registry.generate ~name ~scale ~seed with
+              | exception e ->
+                  Error
+                    (Generation_failed
+                       { dataset = name; message = Printexc.to_string e })
+              | Error _ -> Error (Unknown_dataset name)
+              | Ok d ->
+                  (* the load lock is held: a plain read-modify-write
+                     cannot race another publisher *)
+                  Atomic.set t.entries ((key, d) :: Atomic.get t.entries);
+                  Ok d))
 
 let loaded t =
   List.map

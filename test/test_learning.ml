@@ -400,3 +400,22 @@ let edge_config_tests =
   ]
 
 let suite = suite @ edge_config_tests
+
+(* appended after the older cases so that their indices stay put *)
+let memo_tests =
+  [
+    Alcotest.test_case "memo hash reads the whole key and the example" `Quick
+      (fun () ->
+        (* [Hashtbl.hash] on the pair reads 10 ints of the key: both of
+           these pairs used to collide *)
+        let key = Array.init 30 (fun i -> (i * 7) + 3) in
+        let e1 = [| v "juan"; v "sarita" |] and e2 = [| v "john"; v "mary" |] in
+        Alcotest.(check bool) "examples differ" true
+          (Coverage.memo_hash key e1 <> Coverage.memo_hash key e2);
+        let key' = Array.copy key in
+        key'.(20) <- key.(20) + 1;
+        Alcotest.(check bool) "keys differ at index 20" true
+          (Coverage.memo_hash key e1 <> Coverage.memo_hash key' e1));
+  ]
+
+let suite = suite @ memo_tests

@@ -29,7 +29,6 @@ let sample_checkpoint () =
     rng = Random.State.make [| 42 |];
     counters = [ ("worker_faults", 3); ("jobs_skipped", 1) ];
     elapsed_s = 0.25;
-    constraints = "opaque\x00bytes";
   }
 
 let rng_stream st =
@@ -43,6 +42,40 @@ let with_temp_file f =
     (fun () -> f path)
 
 (* ---------------- checkpoint snapshots ---------------- *)
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* An older binary's file: its version stamp, no digest, plus the fields
+   that version carried and v3 dropped ([extra]). *)
+let old_version_refused ~v ~extra () =
+  with_temp_file (fun path ->
+      let old =
+        match Checkpoint.to_json (sample_checkpoint ()) with
+        | Json.Obj fields ->
+            Json.Obj
+              (List.filter_map
+                 (function
+                   | "version", _ -> Some ("version", Json.Int v)
+                   | "digest", _ -> None
+                   | kv -> Some kv)
+                 fields
+              @ extra)
+        | _ -> Alcotest.fail "checkpoint JSON is not an object"
+      in
+      Json.write path old;
+      match Checkpoint.load path with
+      | Ok _ -> Alcotest.failf "v%d snapshot was accepted" v
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error names the file's version (%s)" e)
+            true
+            (contains e (Printf.sprintf "v%d" v));
+          Alcotest.(check bool) "error names the version this binary reads"
+            true
+            (contains e (Printf.sprintf "v%d" Checkpoint.version)))
 
 let checkpoint_tests =
   [
@@ -78,9 +111,6 @@ let checkpoint_tests =
                 Alcotest.(check string) "definition"
                   (render ck.Checkpoint.definition)
                   (render got.Checkpoint.definition);
-                (* opaque bytes (including the NUL) must survive the hex trip *)
-                Alcotest.(check string) "constraints"
-                  ck.Checkpoint.constraints got.Checkpoint.constraints;
                 (* the restored RNG must replay the exact stream *)
                 Alcotest.(check (list int)) "rng stream"
                   (rng_stream ck.Checkpoint.rng)
@@ -112,54 +142,15 @@ let checkpoint_tests =
                 Alcotest.(check bool)
                   (Printf.sprintf "error names the version (%s)" e)
                   true
-                  (let lower = String.lowercase_ascii e in
-                   let has needle =
-                     let nl = String.length needle
-                     and ll = String.length lower in
-                     let rec go i =
-                       i + nl <= ll
-                       && (String.sub lower i nl = needle || go (i + 1))
-                     in
-                     go 0
-                   in
-                   has "version")));
+                  (contains (String.lowercase_ascii e) "version")));
     Alcotest.test_case
       "v1 snapshot (pre constraint store) is refused, naming both versions"
-      `Quick (fun () ->
-        with_temp_file (fun path ->
-            (* simulate a v1 file: old version stamp and no "constraints"
-               field, exactly what a pre-v2 binary wrote *)
-            let v1 =
-              match Checkpoint.to_json (sample_checkpoint ()) with
-              | Json.Obj fields ->
-                  Json.Obj
-                    (List.filter_map
-                       (function
-                         | "version", Json.Int _ ->
-                             Some ("version", Json.Int 1)
-                         | "constraints", _ -> None
-                         | kv -> Some kv)
-                       fields)
-              | _ -> Alcotest.fail "checkpoint JSON is not an object"
-            in
-            Json.write path v1;
-            match Checkpoint.load path with
-            | Ok _ -> Alcotest.fail "v1 snapshot was accepted"
-            | Error e ->
-                let contains needle =
-                  let nl = String.length needle and ll = String.length e in
-                  let rec go i =
-                    i + nl <= ll && (String.sub e i nl = needle || go (i + 1))
-                  in
-                  go 0
-                in
-                Alcotest.(check bool)
-                  (Printf.sprintf "error names the file's version (%s)" e)
-                  true (contains "v1");
-                Alcotest.(check bool)
-                  "error names the version this binary reads" true
-                  (contains
-                     (Printf.sprintf "v%d" Checkpoint.version))));
+      `Quick
+      (old_version_refused ~v:1 ~extra:[]);
+    Alcotest.test_case
+      "v2 snapshot (with constraint store) is refused, naming both versions"
+      `Quick
+      (old_version_refused ~v:2 ~extra:[ ("constraints", Json.Str "") ]);
     Alcotest.test_case "load reports unreadable and torn files as Error"
       `Quick (fun () ->
         (match Checkpoint.load "/nonexistent/autobias.ck" with
@@ -428,5 +419,51 @@ let resume_tests =
               resumed.Learn.stats.Learn.candidates_evaluated);
   ]
 
+(* ---------------- corrupted checkpoints ---------------- *)
+
+let corruption_tests =
+  [
+    Alcotest.test_case
+      "single-byte mutations of a saved checkpoint load as Error or intact"
+      `Slow (fun () ->
+        with_temp_file (fun path ->
+            (* a real snapshot: the last boundary of a UW learn *)
+            let last = ref None in
+            let sink ck =
+              last := Some ck;
+              `Written
+            in
+            ignore (run_uw ~checkpoint:sink ~seed:11 ());
+            (match !last with
+            | Some ck -> ignore (Checkpoint.save ck path)
+            | None -> Alcotest.fail "no checkpoint emitted");
+            let raw = In_channel.with_open_bin path In_channel.input_all in
+            let canonical ck = Json.to_string (Checkpoint.to_json ck) in
+            let original =
+              match Checkpoint.load path with
+              | Ok ck when ck.Checkpoint.definition <> [] -> canonical ck
+              | Ok _ -> Alcotest.fail "the snapshot holds no clause"
+              | Error e -> Alcotest.failf "pristine checkpoint refused: %s" e
+            in
+            let rng = Random.State.make [| 2024 |] in
+            let refused = ref 0 in
+            for _ = 1 to 250 do
+              let b = Bytes.of_string raw in
+              let i = Random.State.int rng (Bytes.length b) in
+              let c = Char.code (Bytes.get b i) in
+              Bytes.set b i (Char.chr ((c + 1 + Random.State.int rng 255) land 255));
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_bytes oc b);
+              match Checkpoint.load path with
+              | Error _ -> incr refused
+              | Ok ck ->
+                  if canonical ck <> original then
+                    Alcotest.failf "byte %d mutated to %C loaded as a different checkpoint"
+                      i (Bytes.get b i)
+            done;
+            Alcotest.(check bool) "mutations are refused" true (!refused > 200)));
+  ]
+
 let suite =
   checkpoint_tests @ policy_tests @ chaos_tests @ csv_tests @ resume_tests
+  @ corruption_tests
