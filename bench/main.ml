@@ -389,7 +389,7 @@ let ablation_coverage () =
   List.iter
     (fun (label, clause) ->
       let n_sub, t_sub =
-        time (fun () -> Learning.Coverage.count cov clause examples)
+        time (fun () -> Learning.Coverage.count_many cov clause examples)
       in
       let n_query, t_query =
         time (fun () -> Learning.Query.count d.Dataset.db clause examples)
@@ -902,7 +902,7 @@ let scaling () =
     (List.length candidates) (List.length examples);
   let eval_all pool =
     Parallel.Par.parallel_map ?pool
-      (fun c -> Learning.Coverage.count cov c examples)
+      (fun c -> Learning.Coverage.count_many cov c examples)
       candidates
   in
   (* min of 3 passes: the workload is short; the min discards warmup and
@@ -984,7 +984,7 @@ let scaling () =
     let counts = ref [] in
     for _ = 1 to 3 do
       counts :=
-        List.map (fun c -> Learning.Coverage.count cov c examples) candidates
+        List.map (fun c -> Learning.Coverage.count_many cov c examples) candidates
     done;
     (!counts, (Budget.counters b).Budget.subsumption_tries)
   in

@@ -157,8 +157,8 @@ let foil_gain ~p0 ~n0 ~p1 ~n1 =
 
 let learn_one_clause ~config ~cov ~check_deadline db bias ~uncovered ~negatives =
   let count clause =
-    ( Learning.Coverage.count cov clause uncovered,
-      Learning.Coverage.count cov clause negatives )
+    ( Learning.Coverage.count_many cov clause uncovered,
+      Learning.Coverage.count_many cov clause negatives )
   in
   let rec grow state p0 n0 =
     check_deadline ();

@@ -82,8 +82,8 @@ let learn_one_clause ~config ~cov ~check_deadline ~rng ~uncovered ~negatives =
       let eval_neg = sample_list rng 30 negatives in
       let score clause =
         check_deadline ();
-        let p = Learning.Coverage.count cov clause eval_pos in
-        let n = Learning.Coverage.count cov clause eval_neg in
+        let p = Learning.Coverage.count_many cov clause eval_pos in
+        let n = Learning.Coverage.count_many cov clause eval_neg in
         (p, n)
       in
       (* Best-first search over the subsumption lattice below ⊥(seed), as in
@@ -227,8 +227,8 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
        | None -> continue := false
        | Some (seed, clause, _, _) ->
            (* Acceptance on the full training set, not the search sample. *)
-           let p = Learning.Coverage.count cov clause !uncovered in
-           let n = Learning.Coverage.count cov clause negatives in
+           let p = Learning.Coverage.count_many cov clause !uncovered in
+           let n = Learning.Coverage.count_many cov clause negatives in
            let precision =
              if p + n = 0 then 0. else float_of_int p /. float_of_int (p + n)
            in

@@ -112,8 +112,6 @@ let phase t = Atomic.get t.phase
 
 let deadline_at t = t.deadline
 
-let time_left t = Option.map (fun d -> Float.max 0. (d -. now ())) t.deadline
-
 let cancel t = Atomic.set t.cancelled true
 
 let is_cancelled t = Atomic.get t.cancelled
@@ -307,5 +305,3 @@ let degradation ?status:st t =
 
 let pp_degradation ppf d =
   Fmt.pf ppf "%s (%a)" (status_to_string d.status) pp_counters d.counters
-
-let degradation_to_string d = Fmt.str "%a" pp_degradation d

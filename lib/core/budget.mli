@@ -56,10 +56,6 @@ val now : unit -> float
 (** [deadline_at t] is the absolute expiry time, if any. *)
 val deadline_at : t -> float option
 
-(** [time_left t] is the seconds until the deadline, clamped at [0.];
-    [None] when unbounded. *)
-val time_left : t -> float option
-
 (** [cancel t] sets the (shared) cancellation flag. Idempotent, safe from
     any domain. Cooperative: running jobs finish, no new work starts. *)
 val cancel : t -> unit
@@ -118,8 +114,9 @@ type event =
       (** a checkpoint write was skipped (injected fault or I/O error); the
           run continues, the previous checkpoint survives *)
   | Candidate_pruned
-      (** a candidate clause was rejected by the failure-constraint store
-          without running a single coverage test *)
+      (** a beam candidate (or the bottom clause) was scored without
+          running the evaluator, with at least one verdict from the
+          failure-constraint store *)
   | Constraint_learned
       (** a blocked coverage verdict was turned into a reusable
           failure-constraint signature in the prune store *)
@@ -192,4 +189,3 @@ type degradation = {
 val degradation : ?status:status -> t -> degradation
 
 val pp_degradation : Format.formatter -> degradation -> unit
-val degradation_to_string : degradation -> string

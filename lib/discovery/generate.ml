@@ -12,10 +12,6 @@ type threshold =
   | Absolute of int
   | Relative of float
 
-let threshold_to_string = function
-  | Absolute n -> Printf.sprintf "absolute %d" n
-  | Relative r -> Printf.sprintf "relative %.0f%%" (100. *. r)
-
 (** [constant_positions ~threshold rel] is the column indexes of [rel] that
     qualify as constants under [threshold]. Empty relations yield none. *)
 let constant_positions ~threshold rel =

@@ -9,8 +9,6 @@ type threshold =
   | Absolute of int
   | Relative of float
 
-val threshold_to_string : threshold -> string
-
 (** [constant_positions ~threshold rel] — the column indexes of [rel] that
     qualify as constants. *)
 val constant_positions : threshold:threshold -> Relational.Relation.t -> int list

@@ -37,9 +37,6 @@ let types_of g attr =
   | Some s -> s
   | None -> String_set.empty
 
-let all_types g =
-  Attr_map.fold (fun _ s acc -> String_set.union s acc) g.types String_set.empty
-
 (* Tarjan SCC over the edge list; returns the list of components, each a list
    of attributes. *)
 let sccs nodes edges =

@@ -21,8 +21,6 @@ val edges : t -> edge list
 (** [types_of g attr] — the final type set of [attr] (empty if unknown). *)
 val types_of : t -> Relational.Schema.attribute -> Bias.Util.String_set.t
 
-val all_types : t -> Bias.Util.String_set.t
-
 (** [build ~attributes inds] runs Algorithm 3 over [attributes] with one
     edge per IND (reduce symmetric approximate pairs with
     {!Ind.keep_lower_of_symmetric} first). Type names are [T1, T2, …] in

@@ -290,6 +290,8 @@ let eval_uncached t clause example =
           Eval_plan.eval ?budget:t.budget t.compiled clause
             (ground_entry_of t example).comp)
 
+type source = Memo | Store | Computed
+
 (* One verdict, cheapest honest route: probe the failure-constraint store
    first (a trie walk instead of a frontier evaluation — a hit returns the
    exact verdict evaluation would compute), fall back to the real
@@ -300,7 +302,7 @@ let compute t clause example =
   | Some ps -> (
       let key = Eval_plan.key t.compiled clause in
       match Prune.probe ps ~example ~key with
-      | Some i -> Logic.Subsumption.Blocked i
+      | Some i -> (Logic.Subsumption.Blocked i, Store)
       | None ->
           let v = eval_uncached t clause example in
           (match v with
@@ -308,35 +310,24 @@ let compute t clause example =
               if Prune.learn ps ~example ~key ~blocked:i then
                 Budget.hit_opt t.budget Budget.Constraint_learned
           | Logic.Subsumption.Covered _ -> ());
-          v)
-  | None -> eval_uncached t clause example
-
-(** [probe_pruned t clause example] — the verdict the failure-constraint
-    store already knows for [(clause, example)], if any (always a
-    [Blocked _]). Probe-only: never evaluates, never stores. *)
-let probe_pruned t clause example =
-  match t.prune with
-  | Some ps ->
-      Option.map
-        (fun i -> Logic.Subsumption.Blocked i)
-        (Prune.probe ps ~example ~key:(Eval_plan.key t.compiled clause))
-  | None -> None
+          (v, Computed))
+  | None -> (eval_uncached t clause example, Computed)
 
 (** [eval_src t clause example] evaluates [clause] against [example] with
     the substitution-set prefix evaluator: [Covered w] with a witness, or
     [Blocked i] with the 1-based index of the blocking body literal — the
     primitive ARMG needs (Section 2.3.2). [Blocked 0] means the head itself
-    cannot be bound to the example. Verdicts are served from the memo when
-    enabled; a memoized verdict is identical to a recomputed one. The
-    second component reports whether the memo served it — the search-funnel
-    accounting wants to know, the verdict itself never depends on it. *)
+    cannot be bound to the example. The second component says who answered:
+    the verdict memo, the failure-constraint store, or a real evaluation.
+    The verdict is identical whichever did; the tag only feeds {!Learn}'s
+    search-funnel accounting. *)
 let eval_src t clause example =
   match t.memo with
-  | None -> (compute t clause example, false)
+  | None -> compute t clause example
   (* "memo" chaos: pretend the cache lost this entry — bypass the probe
      and the insert and recompute. Purity of verdicts means the answer is
      identical, so chaos here degrades throughput, never correctness. *)
-  | Some _ when Chaos.fires "memo" -> (compute t clause example, false)
+  | Some _ when Chaos.fires "memo" -> compute t clause example
   | Some m -> (
       let key = memo_key (Eval_plan.key t.compiled clause) example in
       let s = memo_stripe key in
@@ -348,16 +339,16 @@ let eval_src t clause example =
       | Some v ->
           Atomic.incr m.hits;
           Budget.hit_opt t.budget Budget.Coverage_memo_hit;
-          (v, true)
+          (v, Memo)
       | None ->
           Atomic.incr m.misses;
           Budget.hit_opt t.budget Budget.Coverage_memo_miss;
-          let v = compute t clause example in
+          let (v, _) as r = compute t clause example in
           Mutex.lock lock;
           if Memo_tbl.length tbl < memo_stripe_cap && not (Memo_tbl.mem tbl key)
           then Memo_tbl.add tbl key v;
           Mutex.unlock lock;
-          (v, false))
+          r)
 
 let eval t clause example = fst (eval_src t clause example)
 
@@ -367,34 +358,9 @@ let covers t clause example =
   | Logic.Subsumption.Covered _ -> true
   | Logic.Subsumption.Blocked _ -> false
 
-(** [covers_src t clause example] — {!covers} plus whether the verdict came
-    out of the verdict memo. *)
-let covers_src t clause example =
-  let v, memo = eval_src t clause example in
-  ((match v with
-    | Logic.Subsumption.Covered _ -> true
-    | Logic.Subsumption.Blocked _ -> false),
-   memo)
-
-(** [covered t clause examples] is the sublist of [examples] covered by
-    [clause]. *)
-let covered t clause examples = List.filter (covers t clause) examples
-
-(** [count t clause examples] is [List.length (covered t clause examples)]. *)
-let count t clause examples =
-  traced_batch t "coverage_count" ~examples:(List.length examples) (fun () ->
-      List.fold_left
-        (fun acc e -> if covers t clause e then acc + 1 else acc)
-        0 examples)
-
-(** [covered_many ?pool t clause examples] is {!covered} with the per-example
-    tests fanned out across [pool]; result order is input order. *)
-let covered_many ?pool t clause examples =
-  traced_batch t "covered_many" ~examples:(List.length examples) (fun () ->
-      Parallel.Par.parallel_filter ?pool (covers t clause) examples)
-
-(** [count_many ?pool t clause examples] is {!count} with the per-example
-    tests fanned out across [pool]. *)
+(** [count_many ?pool t clause examples] is how many of [examples] [clause]
+    covers, with the per-example tests fanned out across [pool] when given
+    (sequential without one). *)
 let count_many ?pool t clause examples =
   traced_batch t "count_many" ~examples:(List.length examples) (fun () ->
       Parallel.Par.parallel_filter_count ?pool (covers t clause) examples)

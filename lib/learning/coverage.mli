@@ -80,49 +80,29 @@ val warm : ?pool:Parallel.Pool.t -> t -> Relational.Relation.tuple list -> unit
 val head_subst :
   Logic.Clause.t -> Relational.Relation.tuple -> Logic.Substitution.t option
 
-(** [eval t clause example] — [Covered w] with a witness, or [Blocked i]
-    with the 1-based blocking body literal; [Blocked 0] means the head
-    itself cannot bind. *)
+(** Who answered a verdict: the verdict memo, the failure-constraint store
+    (a stored failure signature prefixes the clause), or a real evaluation
+    (the only case that counts a [Subsumption_try]). *)
+type source = Memo | Store | Computed
+
+(** [eval_src t clause example] — [Covered w] with a witness, or
+    [Blocked i] with the 1-based blocking body literal ([Blocked 0]: the
+    head itself cannot bind), together with its {!source}. The verdict is
+    identical whichever source served it; the tag feeds {!Learn}'s
+    search-funnel accounting. *)
+val eval_src :
+  t -> Logic.Clause.t -> Relational.Relation.tuple ->
+  Logic.Subsumption.verdict * source
+
+(** [eval t clause example] — the verdict of {!eval_src}. *)
 val eval :
   t -> Logic.Clause.t -> Relational.Relation.tuple -> Logic.Subsumption.verdict
 
-(** [probe_pruned t clause example] — the verdict the failure-constraint
-    store already knows for the pair, if any (always [Blocked _]).
-    Probe-only: never evaluates, never stores; [None] when pruning is off.
-    What {!Learn} asks before spending coverage tests on a candidate. *)
-val probe_pruned :
-  t ->
-  Logic.Clause.t ->
-  Relational.Relation.tuple ->
-  Logic.Subsumption.verdict option
-
 val covers : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool
 
-(** [covers_src t clause example] — {!covers} plus whether the verdict was
-    served from the verdict memo ([true]) rather than computed (or answered
-    by the failure-constraint store). The verdict is identical either way;
-    the flag only feeds {!Learn}'s search-funnel accounting, which wants to
-    know whether a candidate cost any real subsumption work. *)
-val covers_src : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool * bool
-
-(** [covered t clause examples] — the covered sublist. *)
-val covered :
-  t -> Logic.Clause.t -> Relational.Relation.tuple list -> Relational.Relation.tuple list
-
-(** [count t clause examples] — how many are covered. *)
-val count : t -> Logic.Clause.t -> Relational.Relation.tuple list -> int
-
-(** [covered_many ?pool t clause examples] — {!covered} with per-example
-    tests fanned out across [pool]; result order is input order. *)
-val covered_many :
-  ?pool:Parallel.Pool.t ->
-  t ->
-  Logic.Clause.t ->
-  Relational.Relation.tuple list ->
-  Relational.Relation.tuple list
-
-(** [count_many ?pool t clause examples] — {!count} with per-example tests
-    fanned out across [pool]. Equal to [count] for every pool size. *)
+(** [count_many ?pool t clause examples] — how many of [examples] [clause]
+    covers, per-example tests fanned out across [pool] when given. Equal for
+    every pool size, [None] included. *)
 val count_many :
   ?pool:Parallel.Pool.t ->
   t ->

@@ -144,15 +144,25 @@ type scored = {
 let clause_key c = Logic.Clause.to_string c
 
 (* Search-funnel classification of one scored candidate: how was its
-   verdict settled? Exactly one class per resolved candidate, so the
+   score settled? Exactly one class per resolved candidate, so the
    per-step funnel invariant
    [generated = prune_hit + memo_hit + inherited + evaluated] holds by
-   construction. The classes are mutually exclusive by precedence: a
-   prune-store shortcut wins (no coverage call at all), then "every example
-   inherited from the ARMG parent", then "every coverage call served by the
-   verdict memo", and anything that cost at least one real subsumption
-   evaluation counts as evaluated. *)
+   construction. The classes are mutually exclusive by precedence, read
+   off the sources its coverage calls reported: at least one real
+   subsumption evaluation makes it evaluated; no coverage call at all
+   (every example inherited from the parent) makes it inherited; otherwise
+   any verdict from the failure-constraint store makes it a prune hit, and
+   all-memo verdicts a memo hit. *)
 type funnel_class = F_pruned | F_inherited | F_memo | F_evaluated
+
+(* The ranking samples of one clause search with their rate-correction
+   weights (inverse inclusion rates). *)
+type samples = {
+  pos : Relational.Relation.tuple array;
+  neg : Relational.Relation.tuple array;
+  pos_weight : float;
+  neg_weight : float;
+}
 
 (* Observability handles (module-init registration; see lib/obs). Candidate
    and acceptance totals overlap with the per-run [stats] record on purpose:
@@ -190,62 +200,108 @@ let rate sample full =
 
 let take = Logic.Util.take
 
+(* The one candidate scorer: beam candidates, the bottom clause and
+   reduction steps all go through it.
+
+   Monotone propagation: ARMG children and reduction candidates only
+   generalize their [parent], so every example the parent verifiably
+   covers is covered by the child — those entries are {e inherited}
+   (counted as [Coverage_inherited]) and only the remaining examples are
+   actually retested. The bottom clause's parent arrays are all [false].
+   Inheritance is independent of the verdict memo, so it never changes a
+   verdict.
+
+   [~staged:true] ranks beam candidates. Stage 1: a handful of positives —
+   candidates that are still too specific to cover even two of them need no
+   further testing (their score cannot enter the beam's top on merit; they
+   survive only through the smaller-is-better tie-break, which is exactly
+   what lets them keep shrinking). Stage 2: the full ranking samples;
+   negative counting aborts once the score cannot stay positive.
+   [~staged:false] is the full pass reduction needs: the result carries
+   {e complete} covered sets. *)
+let score ~cov ~budget ~staged smp ~parent clause =
+  let n_pos = Array.length smp.pos and n_neg = Array.length smp.neg in
+  let pos_cov = Array.make n_pos false and neg_cov = Array.make n_neg false in
+  (* Local tallies — a scoring runs whole on one domain; the funnel class
+     is folded later on the coordinator. *)
+  let inherited = ref 0 and calls = ref 0 and stored = ref 0
+  and computed = ref 0 in
+  let covered parent_cov examples cov_arr i =
+    let c =
+      if parent_cov.(i) then begin
+        incr inherited;
+        true
+      end
+      else begin
+        incr calls;
+        let v, src = Coverage.eval_src cov clause examples.(i) in
+        (match src with
+        | Coverage.Memo -> ()
+        | Coverage.Store -> incr stored
+        | Coverage.Computed -> incr computed);
+        match v with
+        | Logic.Subsumption.Covered _ -> true
+        | Logic.Subsumption.Blocked _ -> false
+      end
+    in
+    if c then cov_arr.(i) <- true;
+    c
+  in
+  let count_pos lo hi =
+    let c = ref 0 in
+    for i = lo to hi - 1 do
+      if covered parent.pos_cov smp.pos pos_cov i then incr c
+    done;
+    !c
+  in
+  let n_probe = if staged then min 6 n_pos else n_pos in
+  let p_probe = count_pos 0 n_probe in
+  let pos_covered, neg_covered, score =
+    if staged && p_probe < 2 then
+      (p_probe, 0, smp.pos_weight *. float_of_int p_probe)
+    else begin
+      let pos_covered = p_probe + count_pos n_probe n_pos in
+      let weighted_pos = smp.pos_weight *. float_of_int pos_covered in
+      let n = ref 0 in
+      (try
+         for i = 0 to n_neg - 1 do
+           if covered parent.neg_cov smp.neg neg_cov i then begin
+             incr n;
+             if staged && smp.neg_weight *. float_of_int !n > weighted_pos
+             then raise Exit
+           end
+         done
+       with Exit -> ());
+      (pos_covered, !n, weighted_pos -. (smp.neg_weight *. float_of_int !n))
+    end
+  in
+  Budget.add budget Budget.Coverage_inherited !inherited;
+  let cls =
+    if !computed > 0 then F_evaluated
+    else if !calls = 0 then F_inherited
+    else if !stored > 0 then F_pruned
+    else F_memo
+  in
+  ({ clause; pos_covered; neg_covered; score; pos_cov; neg_cov }, cls)
+
 (* Score-based reduction (in the spirit of Golem's negative-based
    reduction): drop a body literal when the clause's sampled, rate-corrected
    score (positives − negatives covered) does not decrease. Removal only
-   generalizes, so every example the current clause is known to cover is
-   covered by every candidate too — each reduction step inherits the current
-   covered sets and retests only the examples not yet known covered, instead
-   of rescoring both full samples per candidate. Takes and returns a
+   generalizes, so each reduction step inherits the current covered sets
+   and retests only the examples not yet known covered. Takes and returns a
    {!scored}: the result carries {e complete} covered sets (no staged
    early-outs here), so the caller needs no re-evaluation pass. *)
-let reduce ~cov ~budget ~pos_weight ~neg_weight ~eval_pos ~eval_neg best =
+let reduce ~cov ~budget smp best =
   Budget.set_phase budget "reduce";
   Obs.Trace.span ~cat:"learn" "reduce" @@ fun () ->
   Obs.Trace.arg "body_lits_in" (string_of_int (Logic.Clause.size best.clause));
-  (* Full evaluation of [clause], inheriting the verified-covered entries of
-     the generalization parent. *)
-  let eval_full ~parent_pos ~parent_neg clause =
-    let inherited = ref 0 in
-    let count parent examples =
-      let cov_arr = Array.make (Array.length examples) false in
-      let c = ref 0 in
-      Array.iteri
-        (fun i e ->
-          let covered =
-            if parent.(i) then begin
-              incr inherited;
-              true
-            end
-            else Coverage.covers cov clause e
-          in
-          if covered then begin
-            cov_arr.(i) <- true;
-            incr c
-          end)
-        examples;
-      (!c, cov_arr)
-    in
-    let p, pos_cov = count parent_pos eval_pos in
-    let n, neg_cov = count parent_neg eval_neg in
-    Budget.add budget Budget.Coverage_inherited !inherited;
-    {
-      clause;
-      pos_covered = p;
-      neg_covered = n;
-      score =
-        (pos_weight *. float_of_int p) -. (neg_weight *. float_of_int n);
-      pos_cov;
-      neg_cov;
-    }
+  let rescore ~parent clause =
+    fst (score ~cov ~budget ~staged:false smp ~parent clause)
   in
   (* Re-score the winner on the full samples first: its staged score may
      have aborted negative counting early, and a truncated baseline would
      let reduction accept removals that only look score-preserving. *)
-  let current =
-    ref (eval_full ~parent_pos:best.pos_cov ~parent_neg:best.neg_cov
-           best.clause)
-  in
+  let current = ref (rescore ~parent:best best.clause) in
   let head = Logic.Clause.head best.clause in
   (* One backward pass over the original literals (by-catch accumulates
      toward the end of a bottom clause). Pruning may remove further literals
@@ -259,7 +315,7 @@ let reduce ~cov ~budget ~pos_weight ~neg_weight ~eval_pos ~eval_neg best =
       if List.memq lit body && not (Budget.expired budget) then begin
         let candidate_body = List.filter (fun l -> not (l == lit)) body in
         let candidate =
-          eval_full ~parent_pos:!current.pos_cov ~parent_neg:!current.neg_cov
+          rescore ~parent:!current
             (Logic.Clause.prune_head_connected
                (Logic.Clause.make head candidate_body))
         in
@@ -279,149 +335,23 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
     |> take config.eval_positives
   in
   let eval_neg = sample_list rng config.eval_negatives negatives in
-  let pos_weight = 1. /. rate eval_pos uncovered in
-  let neg_weight = 1. /. rate eval_neg negatives in
-  let eval_pos_arr = Array.of_list eval_pos in
-  let eval_neg_arr = Array.of_list eval_neg in
-  let n_pos = Array.length eval_pos_arr in
-  let n_neg = Array.length eval_neg_arr in
-  let n_probe = min 6 n_pos in
-  (* Staged scoring. Stage 1: a handful of positives — candidates that are
-     still too specific to cover even two of them need no further testing
-     (their score cannot enter the beam's top on merit; they survive only
-     through the smaller-is-better tie-break, which is exactly what lets
-     them keep shrinking). Stage 2: the full ranking samples; negative
-     counting aborts once the score cannot stay positive.
-
-     Monotone propagation: ARMG children and reduction candidates only
-     generalize their [parent], so every example the parent verifiably
-     covers is covered by the child — those entries are {e inherited}
-     (counted as [Coverage_inherited]) and only the remaining examples are
-     actually retested. Inheritance is independent of the verdict memo, so
-     it is on in both cache modes and never changes a verdict. *)
-  let evaluate ?parent clause =
+  let smp =
+    {
+      pos = Array.of_list eval_pos;
+      neg = Array.of_list eval_neg;
+      pos_weight = 1. /. rate eval_pos uncovered;
+      neg_weight = 1. /. rate eval_neg negatives;
+    }
+  in
+  let evaluate ~parent clause =
     Atomic.incr candidates_evaluated;
     Obs.Metrics.bump m_candidates;
     Obs.Trace.span ~cat:"learn" "evaluate_candidate" @@ fun () ->
     if Obs.Trace.enabled () then
       Obs.Trace.arg "body_lits" (string_of_int (Logic.Clause.size clause));
-    let pos_cov = Array.make n_pos false in
-    let neg_cov = Array.make n_neg false in
-    let inherited = ref 0 in
-    (* Funnel bookkeeping: coverage calls made for this candidate, and how
-       many the verdict memo served. Local refs — [evaluate] runs whole on
-       one domain, so no coordination, and recording happens later on the
-       coordinator. *)
-    let calls = ref 0 in
-    let memo_calls = ref 0 in
-    let covers_counted clause e =
-      incr calls;
-      let covered, from_memo = Coverage.covers_src cov clause e in
-      if from_memo then incr memo_calls;
-      covered
-    in
-    let finish ?(pruned = false) s =
-      Budget.add budget Budget.Coverage_inherited !inherited;
-      let cls =
-        if pruned then F_pruned
-        else if !calls = 0 then F_inherited
-        else if !memo_calls = !calls then F_memo
-        else F_evaluated
-      in
-      (s, cls)
-    in
-    let count_pos lo hi =
-      let c = ref 0 in
-      for i = lo to hi - 1 do
-        let covered =
-          match parent with
-          | Some p when p.pos_cov.(i) ->
-              incr inherited;
-              true
-          | _ -> covers_counted clause eval_pos_arr.(i)
-        in
-        if covered then begin
-          pos_cov.(i) <- true;
-          incr c
-        end
-      done;
-      !c
-    in
-    (* Failure-constraint short-circuit: when every probe positive the
-       parent does not already cover is known-blocked by the prune store,
-       and inheritance alone cannot reach the stage-1 bar, the staged
-       early-exit record below is fully determined — synthesize it without
-       spending a single coverage test on this candidate. A store hit is
-       the exact verdict evaluation would return, so the record (and hence
-       the beam) is bit-identical to the unpruned run. *)
-    let prune_shortcut () =
-      if not (Coverage.pruning_enabled cov) then None
-      else begin
-        let inh = ref 0 and all_blocked = ref true in
-        for i = 0 to n_probe - 1 do
-          match parent with
-          | Some p when p.pos_cov.(i) -> incr inh
-          | _ ->
-              if
-                !all_blocked
-                && Coverage.probe_pruned cov clause eval_pos_arr.(i) = None
-              then all_blocked := false
-        done;
-        if !all_blocked && !inh < 2 then Some !inh else None
-      end
-    in
-    match prune_shortcut () with
-    | Some p_probe ->
-        Budget.hit budget Budget.Candidate_pruned;
-        for i = 0 to n_probe - 1 do
-          match parent with
-          | Some p when p.pos_cov.(i) ->
-              pos_cov.(i) <- true;
-              incr inherited
-          | _ -> ()
-        done;
-        finish ~pruned:true
-          { clause; pos_covered = p_probe; neg_covered = 0;
-            score = pos_weight *. float_of_int p_probe; pos_cov; neg_cov }
-    | None ->
-    let p_probe = count_pos 0 n_probe in
-    if p_probe < 2 then
-      finish
-        { clause; pos_covered = p_probe; neg_covered = 0;
-          score = pos_weight *. float_of_int p_probe; pos_cov; neg_cov }
-    else begin
-      let pos_covered = p_probe + count_pos n_probe n_pos in
-      (* abort negative counting once the weighted score goes negative *)
-      let weighted_pos = pos_weight *. float_of_int pos_covered in
-      let neg_covered = ref 0 in
-      (try
-         for i = 0 to n_neg - 1 do
-           let covered =
-             match parent with
-             | Some p when p.neg_cov.(i) ->
-                 incr inherited;
-                 true
-             | _ -> covers_counted clause eval_neg_arr.(i)
-           in
-           if covered then begin
-             neg_cov.(i) <- true;
-             incr neg_covered;
-             if neg_weight *. float_of_int !neg_covered > weighted_pos then
-               raise Exit
-           end
-         done
-       with Exit -> ());
-      let neg_covered = !neg_covered in
-      finish
-        {
-          clause;
-          pos_covered;
-          neg_covered;
-          score = weighted_pos -. (neg_weight *. float_of_int neg_covered);
-          pos_cov;
-          neg_cov;
-        }
-    end
+    let ((_, cls) as r) = score ~cov ~budget ~staged:true smp ~parent clause in
+    if cls = F_pruned then Budget.hit budget Budget.Candidate_pruned;
+    r
   in
   Budget.set_phase budget "bottom_clause";
   let bottom =
@@ -433,13 +363,13 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
      with hundreds of literals would only burn the subsumption budget. *)
   (* Nothing is verified about the bottom clause yet, so its covered sets
      start all-false: children inherit nothing and verify from scratch. *)
-  let beam =
-    ref
-      [ { clause = bottom; pos_covered = 1; neg_covered = 0;
-          score = pos_weight; pos_cov = Array.make n_pos false;
-          neg_cov = Array.make n_neg false } ]
+  let unscored =
+    { clause = bottom; pos_covered = 1; neg_covered = 0;
+      score = smp.pos_weight; pos_cov = Array.map (fun _ -> false) smp.pos;
+      neg_cov = Array.map (fun _ -> false) smp.neg }
   in
-  let best = ref (List.hd !beam) in
+  let beam = ref [ unscored ] in
+  let best = ref unscored in
   let continue = ref true in
   let steps = ref 0 in
   let clause_deadline =
@@ -576,8 +506,8 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
      on small example sets a bottom clause can legitimately cover several
      positives. Failing evaluations die on the first blocked literal, so
      this is cheap for genuinely hopeless seeds. *)
-  if !best.clause == bottom && not (Budget.expired budget) then
-    best := fst (evaluate bottom);
+  if !best == unscored && not (Budget.expired budget) then
+    best := fst (evaluate ~parent:unscored bottom);
   (* Reduce the winner; {!reduce} re-scores it fully on the ranking samples
      (inheriting the verified entries accumulated so far), so callers see
      consistent numbers; acceptance re-checks on the full sets anyway.
@@ -586,8 +516,8 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
      are returned as-is — they will be rejected, reduction would be wasted
      work. *)
   let sample_precision s =
-    let wp = pos_weight *. float_of_int s.pos_covered in
-    let wn = neg_weight *. float_of_int s.neg_covered in
+    let wp = smp.pos_weight *. float_of_int s.pos_covered in
+    let wn = smp.neg_weight *. float_of_int s.neg_covered in
     if wp +. wn = 0. then 0. else wp /. (wp +. wn)
   in
   let final =
@@ -597,8 +527,7 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
       || sample_precision !best < config.min_precision
     then !best
     else
-      reduce ~cov ~budget ~pos_weight ~neg_weight ~eval_pos:eval_pos_arr
-        ~eval_neg:eval_neg_arr !best
+      reduce ~cov ~budget smp !best
   in
   (final, sample_precision final)
 

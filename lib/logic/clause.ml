@@ -55,12 +55,6 @@ let head_connected_body c =
     dropped. *)
 let prune_head_connected c = { c with body = head_connected_body c }
 
-let apply subst c =
-  {
-    head = Substitution.apply_literal subst c.head;
-    body = List.map (Substitution.apply_literal subst) c.body;
-  }
-
 let to_string c =
   let body =
     match c.body with

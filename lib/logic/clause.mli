@@ -25,9 +25,6 @@ val head_connected_body : t -> Literal.t list
     dropped — what ARMG does after removing a blocking atom. *)
 val prune_head_connected : t -> t
 
-(** [apply subst c] applies a substitution to head and body. *)
-val apply : Substitution.t -> t -> t
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

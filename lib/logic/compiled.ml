@@ -209,7 +209,6 @@ type plan = {
 }
 
 let key p = p.p_key
-let n_body p = Array.length p.p_pred
 
 (** [compile tab clause] — int-code [clause] against [tab]. Pure up to
     interning: recompiling yields an equal plan, so an evicted plan cache

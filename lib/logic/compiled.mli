@@ -51,8 +51,6 @@ val compile : Symtab.t -> Clause.t -> plan
     replacement for printed-clause memo keys. *)
 val key : plan -> int array
 
-val n_body : plan -> int
-
 type scratch
 (** Reusable evaluation arenas. Not thread-safe — use one per worker
     domain (e.g. via [Domain.DLS]). *)

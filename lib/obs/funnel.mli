@@ -3,11 +3,12 @@
     search.
 
     Each candidate a beam step produces is resolved by exactly one
-    mechanism, so per step
+    mechanism (precedence: evaluated, inherited, prune_hit, memo_hit), so
+    per step
 
     {[ generated = prune_hit + memo_hit + inherited + evaluated ]}
 
-    and [accepted <= evaluated] (the beam keeps at most [beam_width] of
+    and [accepted <= generated] (the beam keeps at most [beam_width] of
     them). The registry is process-global like {!Metrics}: steps aggregate
     across clause searches (and across jobs in a daemon); {!reset} starts a
     fresh window. Recording is lock-free ([fetch_and_add] per bucket) and
@@ -16,7 +17,9 @@
 type row = {
   step : int;  (** 1-based beam step; [0] only in {!total} *)
   generated : int;  (** candidates produced (after dedup) and resolved *)
-  prune_hit : int;  (** rejected wholesale by the failure-constraint store *)
+  prune_hit : int;
+      (** scored without running the evaluator, with at least one verdict
+          from the failure-constraint store *)
   memo_hit : int;  (** scored with every coverage verdict memo-served *)
   inherited : int;  (** scored entirely from parent-inherited coverage *)
   evaluated : int;  (** needed at least one real subsumption evaluation *)

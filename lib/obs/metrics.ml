@@ -53,7 +53,6 @@ let gauge name =
 
 let gauge_set g v = Atomic.set g.g_cell v
 let gauge_add g n = ignore (Atomic.fetch_and_add g.g_cell n)
-let gauge_value g = Atomic.get g.g_cell
 
 let histogram name =
   registered histograms name (fun () ->

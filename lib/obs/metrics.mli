@@ -31,7 +31,6 @@ val gauge : string -> gauge
 
 val gauge_set : gauge -> int -> unit
 val gauge_add : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 (** [histogram name] registers (or retrieves) a latency histogram. Values
     are observed in {e seconds}; buckets are fixed log-spaced bounds from

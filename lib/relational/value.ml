@@ -23,12 +23,14 @@ let to_string = function
   | Int i -> string_of_int i
   | Str s -> s
 
-(** [of_string s] parses an integer if [s] looks like one, else keeps the
-    string. CSV loading uses this. *)
+(** [of_string s] is [Int i] exactly when [s] is the canonical decimal
+    rendering of [i] ([string_of_int i = s]), else [Str s]. [int_of_string]
+    alone also accepts "0x10", "1_000", "+5" and "007", which would merge
+    distinct strings into one integer. CSV loading uses this. *)
 let of_string s =
   match int_of_string_opt s with
-  | Some i -> Int i
-  | None -> Str s
+  | Some i when string_of_int i = s -> Int i
+  | _ -> Str s
 
 let pp_short ppf v = Fmt.string ppf (to_string v)
 

@@ -25,8 +25,10 @@ val hash : t -> int
 (** [to_string v] renders the payload without constructor noise. *)
 val to_string : t -> string
 
-(** [of_string s] parses an integer if [s] looks like one, else keeps the
-    string; CSV loading and the clause parser use it. *)
+(** [of_string s] is [Int i] when [s] is exactly [string_of_int i], else
+    [Str s]: other integer spellings ("0x10", "1_000", "+5", "007") stay
+    strings, so distinct strings never merge. CSV loading and the clause
+    parser use it. *)
 val of_string : string -> t
 
 (** [pp_short] prints like {!to_string}. *)

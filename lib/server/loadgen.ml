@@ -132,23 +132,3 @@ let run ?(clients = 4) ?(jobs = 50) ?(reject_retries = 0)
       (if jobs = 0 then 0. else float_of_int rejected /. float_of_int jobs);
     accounted = completed + degraded + rejected + quarantined + failed = jobs;
   }
-
-let summary_to_json s =
-  Obs.Json.Obj
-    [
-      ("jobs", Obs.Json.Int s.jobs);
-      ("clients", Obs.Json.Int s.clients);
-      ("completed", Obs.Json.Int s.completed);
-      ("degraded", Obs.Json.Int s.degraded);
-      ("rejected", Obs.Json.Int s.rejected);
-      ("reject_events", Obs.Json.Int s.reject_events);
-      ("quarantined", Obs.Json.Int s.quarantined);
-      ("failed", Obs.Json.Int s.failed);
-      ("retries", Obs.Json.Int s.retries);
-      ("wall_s", Obs.Json.Float s.wall_s);
-      ("p50_latency_s", Obs.Json.Float s.p50_s);
-      ("p95_latency_s", Obs.Json.Float s.p95_s);
-      ("p99_latency_s", Obs.Json.Float s.p99_s);
-      ("reject_rate", Obs.Json.Float s.reject_rate);
-      ("outcomes_accounted", Obs.Json.Bool s.accounted);
-    ]

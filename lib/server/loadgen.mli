@@ -41,5 +41,3 @@ val run :
   Daemon.t ->
   (int -> Protocol.request) ->
   summary
-
-val summary_to_json : summary -> Obs.Json.t

@@ -58,16 +58,80 @@ let properties =
              (fun c ->
                List.for_all
                  (fun e ->
-                   match Coverage.probe_pruned pruned c e with
-                   | None -> true
-                   | Some (Logic.Subsumption.Covered _) ->
+                   match Coverage.eval_src pruned c e with
+                   | _, (Coverage.Computed | Coverage.Memo) -> true
+                   | Logic.Subsumption.Covered _, Coverage.Store ->
                        false (* the store must never predict coverage *)
-                   | Some (Logic.Subsumption.Blocked i) -> (
+                   | Logic.Subsumption.Blocked i, Coverage.Store -> (
                        match Coverage.eval oracle c e with
                        | Logic.Subsumption.Blocked i' -> i = i'
                        | Logic.Subsumption.Covered _ -> false))
                  examples)
              clauses));
+  ]
+
+(* ---------------- the source tag ---------------- *)
+
+let source_tests =
+  [
+    Alcotest.test_case "eval_src tags Computed, then Memo, then Store" `Quick
+      (fun () ->
+        let d = Datasets.Uw.generate ~seed:3 ~scale:0.3 () in
+        let budget = Budget.create () in
+        let cov =
+          Coverage.create ~budget d.Datasets.Dataset.db
+            d.Datasets.Dataset.manual_bias ~rng:(Random.State.make [| 3; 77 |])
+        in
+        let tries () = (Budget.counters budget).Budget.subsumption_tries in
+        let bc =
+          Learning.Bottom_clause.build d.Datasets.Dataset.db
+            d.Datasets.Dataset.manual_bias
+            ~rng:(Random.State.make [| 3; 99 |])
+            ~example:(List.hd d.Datasets.Dataset.positives)
+        in
+        let head = Logic.Clause.head bc and body = Logic.Clause.body bc in
+        let prefix k = Logic.Clause.make head (Logic.Util.take k body) in
+        (* A (clause, example) pair blocked at literal [i], asked on the
+           prefix through literal [i + 1] so a shorter clause sharing the
+           blocked prefix exists: the first [i] literals. Found on an
+           uncached context so the search leaves [cov] untouched. *)
+        let probe =
+          Coverage.create ~use_cache:false ~use_pruning:false
+            d.Datasets.Dataset.db d.Datasets.Dataset.manual_bias
+            ~rng:(Random.State.make [| 3; 77 |])
+        in
+        let i, e =
+          List.find_map
+            (fun e ->
+              match Coverage.eval probe bc e with
+              | Logic.Subsumption.Blocked i
+                when i >= 1 && i < min 20 (List.length body) ->
+                  Some (i, e)
+              | _ -> None)
+            d.Datasets.Dataset.negatives
+          |> Option.get
+        in
+        let clause = prefix (i + 1) and sibling = prefix i in
+        let ask c =
+          let t0 = tries () in
+          let v, src = Coverage.eval_src cov c e in
+          (match v with
+          | Logic.Subsumption.Blocked j ->
+              Alcotest.(check int) "blocked at the same literal" i j
+          | Logic.Subsumption.Covered _ -> Alcotest.fail "expected Blocked");
+          (src, tries () - t0)
+        in
+        let src, spent = ask clause in
+        Alcotest.(check bool) "first ask is Computed" true
+          (src = Coverage.Computed);
+        Alcotest.(check int) "first ask runs one try" 1 spent;
+        let src, spent = ask clause in
+        Alcotest.(check bool) "repeat is Memo" true (src = Coverage.Memo);
+        Alcotest.(check int) "repeat runs no try" 0 spent;
+        let src, spent = ask sibling in
+        Alcotest.(check bool) "shared blocked prefix is Store" true
+          (src = Coverage.Store);
+        Alcotest.(check int) "store answer runs no try" 0 spent);
   ]
 
 (* ---------------- learner A/B: --no-prune ---------------- *)
@@ -125,4 +189,4 @@ let ab_tests =
           (render pooled.Learn.definition));
   ]
 
-let suite = properties @ ab_tests
+let suite = properties @ source_tests @ ab_tests

@@ -16,6 +16,17 @@ let value_tests =
         Alcotest.(check bool) "int" true (Value.equal (Value.of_string "42") (vi 42));
         Alcotest.(check bool) "neg" true (Value.equal (Value.of_string "-7") (vi (-7)));
         Alcotest.(check bool) "str" true (Value.equal (Value.of_string "a42") (v "a42")));
+    Alcotest.test_case "of_string keeps non-canonical integer spellings" `Quick
+      (fun () ->
+        (* int_of_string reads all of these as integers; each must stay the
+           string it is, or "0x10" and "16" would load as one value *)
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) s true (Value.equal (Value.of_string s) (v s)))
+          [ "0x10"; "0o7"; "1_000"; "+5"; "007" ];
+        Alcotest.(check bool) "42" true (Value.equal (Value.of_string "42") (vi 42));
+        Alcotest.(check bool) "-7" true
+          (Value.equal (Value.of_string "-7") (vi (-7))));
     Alcotest.test_case "to_string round-trips" `Quick (fun () ->
         Alcotest.(check string) "int" "42" (Value.to_string (vi 42));
         Alcotest.(check string) "str" "juan" (Value.to_string (v "juan")));

@@ -461,6 +461,28 @@ let csv_tests =
                 Alcotest.(check bool) "rendered with position" true
                   (String.length (Relational.Csv.error_to_string e)
                   > String.length path)));
+    (* Mutate anything, get a typed error: every single-byte mutation of a
+       valid file either still parses or raises [Csv.Error] pointing at one
+       of its lines — never a stray exception. *)
+    (let valid =
+       "alice,1,\"Smith, J.\"\nbob,22,\"say \"\"hi\"\"\"\n\"c,d\",-3,plain\n"
+       ^ "dave,007,\"\"\n"
+     in
+     let lines = List.length (String.split_on_char '\n' valid) in
+     let rs = Relational.Schema.relation "r" [| "a"; "b"; "c" |] in
+     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 250 |])
+       (QCheck.Test.make ~name:"CSV: any single-byte mutation gives a typed error"
+          ~count:250
+          QCheck.(pair (int_bound (String.length valid - 1)) (int_bound 255))
+          (fun (pos, byte) ->
+            let mutated = Bytes.of_string valid in
+            Bytes.set mutated pos (Char.chr byte);
+            match
+              Relational.Csv.parse_string ~schema:rs (Bytes.to_string mutated)
+            with
+            | _ -> true
+            | exception Relational.Csv.Error e ->
+                e.Relational.Csv.line >= 1 && e.Relational.Csv.line <= lines)));
   ]
 
 let suite =
