@@ -204,11 +204,12 @@ let foil_config config =
   }
 
 (** [coverage_context config dataset bias] builds the coverage-testing
-    context (ground bottom clauses are cached inside it). *)
+    context (ground bottom clauses are cached inside it), carrying
+    [config.pool] for definition scoring. *)
 let coverage_context config (dataset : Datasets.Dataset.t) bias ~rng =
   Learning.Coverage.create ~bc_config:(bc_config config)
     ~use_cache:config.coverage_cache ~use_pruning:config.pruning
-    dataset.Datasets.Dataset.db bias ~rng
+    ?pool:config.pool dataset.Datasets.Dataset.db bias ~rng
 
 type run_result = {
   definition : Logic.Clause.definition;

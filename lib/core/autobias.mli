@@ -98,7 +98,8 @@ val learn_config : config -> Learning.Learn.config
 val foil_config : config -> Baselines.Foil.config
 
 (** [coverage_context config dataset bias ~rng] builds the coverage-testing
-    context (ground bottom clauses cached inside). *)
+    context (ground bottom clauses cached inside). It carries [config.pool],
+    so {!Evaluation.Metrics.evaluate} on it counts over the pool. *)
 val coverage_context :
   config -> Datasets.Dataset.t -> Bias.Language.t -> rng:Random.State.t ->
   Learning.Coverage.t

@@ -82,7 +82,14 @@ val sleepf : ?budget:t -> ?stop:(unit -> bool) -> float -> unit
 
     Every counter is monotone non-decreasing and shared across {!scope}
     children. Components report {e how} they degraded the answer instead of
-    silently under-approximating. *)
+    silently under-approximating.
+
+    Under a domain pool, [subsumption_tries], [candidates_pruned],
+    [constraints_learned], [coverage_memo_hits] and [coverage_memo_misses]
+    depend on scheduling: two workers can miss the verdict memo on one
+    (clause, example) at once and both evaluate it, and a failure-constraint
+    probe hits only if a sibling stored its signature first. Verdicts and
+    definitions do not change; sequential runs count exactly. *)
 
 type event =
   | Subsumption_try  (** one budgeted backtracking attempt started *)

@@ -44,10 +44,14 @@ let pp_row ppf m =
   Fmt.pf ppf "P=%.2f R=%.2f FM=%.2f" m.precision m.recall m.f_measure
 
 (** [evaluate cov definition ~positives ~negatives] scores a learned
-    definition on a labelled test set using coverage testing. *)
+    definition on a labelled test set using coverage testing, the per-example
+    tests fanned out over the context's pool. *)
 let evaluate cov definition ~positives ~negatives =
-  let covers = Learning.Coverage.definition_covers cov definition in
-  let tp = List.length (List.filter covers positives) in
-  let fp = List.length (List.filter covers negatives) in
+  let count =
+    Parallel.Par.parallel_filter_count ?pool:(Learning.Coverage.pool cov)
+      (Learning.Coverage.definition_covers cov definition)
+  in
+  let tp = count positives in
+  let fp = count negatives in
   of_counts ~true_positives:tp ~covered:(tp + fp)
     ~positives:(List.length positives)

@@ -23,7 +23,9 @@ val mean : t list -> t
 val pp_row : Format.formatter -> t -> unit
 
 (** [evaluate cov definition ~positives ~negatives] scores a learned
-    definition on a labelled set with coverage testing. *)
+    definition on a labelled set with coverage testing. The per-example
+    tests fan out over [Learning.Coverage.pool cov] when the context has a
+    pool; the counts, and so the result, are the same either way. *)
 val evaluate :
   Learning.Coverage.t ->
   Logic.Clause.definition ->

@@ -96,12 +96,16 @@ type memo = {
 
 type cache_stats = { hits : int; misses : int; entries : int }
 
-(* Both representations of a ground BC are built together, outside the
-   cache lock: the compiled form drives coverage, the symbolic form stays
-   authoritative for ARMG's frontier sweep and the [ground_of] API. *)
+(* A cached ground BC. The compiled form drives every coverage verdict and
+   is built with the entry, outside the cache lock. The symbolic hash index
+   is only read by ARMG's frontier sweep (through [ground_of]), which visits
+   a few sampled positives per beam step, so it is built from [body] on the
+   first [ground_of] call and published with a compare-and-set — a [Lazy.t]
+   forced from two domains at once raises. *)
 type ground_entry = {
-  sym : Logic.Subsumption.ground;
   comp : Logic.Compiled.ground;
+  body : Logic.Literal.t list;
+  sym : Logic.Subsumption.ground option Atomic.t;
 }
 
 type t = {
@@ -112,6 +116,9 @@ type t = {
   grounds : (Relational.Relation.tuple, ground_entry) Hashtbl.t;
   lock : Mutex.t;  (** guards [grounds] *)
   memo : memo option;  (** [None] = caching disabled ([--no-coverage-cache]) *)
+  pool : Parallel.Pool.t option;
+      (** the pool callers that score definitions on this context fan out
+          over; coverage itself never reads it *)
   compiled : Eval_plan.t;
   prune : Prune.t option;
       (** failure-constraint store ([None] = [--no-prune]); a probe hit
@@ -123,7 +130,7 @@ type t = {
 }
 
 let create ?(bc_config = Bottom_clause.default_config) ?budget
-    ?(use_cache = true) ?(use_pruning = true) db bias ~rng =
+    ?(use_cache = true) ?(use_pruning = true) ?pool db bias ~rng =
   {
     db;
     bias;
@@ -141,6 +148,7 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
              misses = Atomic.make 0;
            }
        else None);
+    pool;
     compiled = Eval_plan.create ();
     prune = (if use_pruning then Some (Prune.create ()) else None);
     budget;
@@ -180,6 +188,7 @@ let with_budget t budget = { t with budget = Some budget }
 
 let bias t = t.bias
 let database t = t.db
+let pool t = t.pool
 
 (* The per-example RNG must not depend on physical identity or insertion
    order, hence the structural tuple hash. *)
@@ -203,10 +212,11 @@ let ground_entry_of t example =
             in
             let body = Logic.Clause.body clause in
             {
-              sym = Logic.Subsumption.ground_of_literals body;
               comp =
                 Logic.Compiled.compile_ground (Eval_plan.symtab t.compiled)
                   ~example body;
+              body;
+              sym = Atomic.make None;
             })
       in
       Mutex.lock t.lock;
@@ -220,8 +230,23 @@ let ground_entry_of t example =
       Mutex.unlock t.lock;
       g
 
-(** [ground_of t example] is the cached ground bottom clause of [example]. *)
-let ground_of t example = (ground_entry_of t example).sym
+(** [ground_of t example] is the cached ground bottom clause of [example] as
+    a symbolic index, built on first use. Racing builders each index the
+    same body; the first compare-and-set wins and every caller returns that
+    one value. The build is ground-BC work, so it runs in a [ground_bc] span
+    (tagged [index=symbolic]), but it builds no new ground BC and so leaves
+    [coverage.ground_bcs_built] alone. *)
+let ground_of t example =
+  let g = ground_entry_of t example in
+  match Atomic.get g.sym with
+  | Some s -> s
+  | None ->
+      let s =
+        Obs.Trace.span ~cat:"coverage" ~args:[ ("index", "symbolic") ]
+          "ground_bc" (fun () -> Logic.Subsumption.ground_of_literals g.body)
+      in
+      if Atomic.compare_and_set g.sym None (Some s) then s
+      else Option.get (Atomic.get g.sym)
 
 (* Batch entry points run inside a span carrying the batch size and the memo
    traffic the batch generated (hit/miss deltas read from the memo's own
@@ -244,13 +269,16 @@ let traced_batch t name ~examples f =
               (string_of_int (Atomic.get m.misses - m0));
             r)
 
-(** [warm ?pool t examples] precomputes ground BCs for [examples] (the paper
-    builds them once, up front), fanning construction out across [pool] when
-    given. Per-example RNG derivation makes the result independent of the
-    pool size and of scheduling. *)
+(** [warm ?pool t examples] precomputes the compiled ground BCs of
+    [examples] (the paper builds them once, up front), fanning construction
+    out across [pool] when given. Per-example RNG derivation makes the
+    result independent of the pool size and of scheduling. The symbolic
+    index is left to {!ground_of}. *)
 let warm ?pool t examples =
   traced_batch t "warm" ~examples:(List.length examples) (fun () ->
-      Parallel.Par.parallel_iter ?pool (fun e -> ignore (ground_of t e)) examples)
+      Parallel.Par.parallel_iter ?pool
+        (fun e -> ignore (ground_entry_of t e))
+        examples)
 
 (** [head_subst clause example] binds the head of [clause] to [example]:
     variables map to the example's constants; constant head arguments must

@@ -29,12 +29,14 @@ type cache_stats = { hits : int; misses : int; entries : int }
     signatures that answer later evaluations without running the frontier.
     A probe hit returns the exact verdict evaluation would compute, so
     pruning is also invisible to results — [false] ([--no-prune]) is the
-    A/B escape hatch. *)
+    A/B escape hatch. [?pool] is stored for the callers that score a whole
+    definition on the context ({!pool}); no verdict depends on it. *)
 val create :
   ?bc_config:Bottom_clause.config ->
   ?budget:Budget.t ->
   ?use_cache:bool ->
   ?use_pruning:bool ->
+  ?pool:Parallel.Pool.t ->
   Relational.Database.t ->
   Bias.Language.t ->
   rng:Random.State.t ->
@@ -66,12 +68,22 @@ val with_budget : t -> Budget.t -> t
 val bias : t -> Bias.Language.t
 val database : t -> Relational.Database.t
 
-(** [ground_of t example] — the cached ground bottom clause of [example]. *)
+(** [pool t] — the domain pool given to {!create}, shared by {!with_budget}
+    copies. [Evaluation.Metrics.evaluate] counts over it. *)
+val pool : t -> Parallel.Pool.t option
+
+(** [ground_of t example] — the cached ground bottom clause of [example] as
+    a symbolic index, the form {!Armg.generalize} sweeps. The index is
+    built from the cached body on the first call for [example] (in a
+    [ground_bc] trace span with [index=symbolic]) and returned physically
+    equal on every later call, from any domain. *)
 val ground_of : t -> Relational.Relation.tuple -> Logic.Subsumption.ground
 
 (** [warm ?pool t examples] precomputes ground BCs (the paper builds them
     once, up front), fanning construction across [pool] when given — the
-    resulting cache is identical either way. *)
+    resulting cache is identical either way. Only the compiled form that
+    coverage verdicts read is built; the symbolic index waits for
+    {!ground_of}. *)
 val warm : ?pool:Parallel.Pool.t -> t -> Relational.Relation.tuple list -> unit
 
 (** [head_subst clause example] binds the clause head to the example:

@@ -61,10 +61,11 @@ type config = {
           per-call child from it, so [timeout] still bounds each call;
           [None] gives every call a private budget. *)
   pool : Parallel.Pool.t option;
-      (** domain pool for candidate evaluation, acceptance counting and
-          ground-BC warming; [None] runs the sequential code path. Results
-          are identical for every pool size (coverage is deterministic per
-          example), so the pool only changes wall-clock time. *)
+      (** domain pool for ARMG generation, candidate evaluation,
+          acceptance counting and ground-BC warming; [None] runs the
+          sequential code path. Results are identical for every pool size
+          (ARMG and coverage are deterministic per example), so the pool
+          only changes wall-clock time. *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
       (** sink invoked at clause boundaries (every [checkpoint_every]-th
           covering iteration) with a complete snapshot of learner progress.
@@ -373,11 +374,11 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
   let continue = ref true in
   let steps = ref 0 in
   let clause_deadline =
-    Option.map (fun s -> Unix.gettimeofday () +. s) config.clause_timeout
+    Option.map (fun s -> Budget.now () +. s) config.clause_timeout
   in
   let clause_time_left () =
     match clause_deadline with
-    | Some d -> Unix.gettimeofday () < d
+    | Some d -> Budget.now () < d
     | None -> true
   in
   while
@@ -391,7 +392,6 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
     let targets = sample_list rng config.generalization_sample uncovered in
     let seen = Hashtbl.create 16 in
     List.iter (fun s -> Hashtbl.replace seen (clause_key s.clause) ()) !beam;
-    let collected = ref [] in
     (* Pair the targets and chain ARMG through both (as in ProGolem's
        iterated armg): coverage evaluation dominates the cost, so fewer,
        more-general candidates beat many one-step ones — especially when
@@ -401,37 +401,52 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
       | [ a ] -> [ (a, None) ]
       | [] -> []
     in
-    (* Candidate generation (ARMG chaining + dedup) stays sequential: it is
-       cheap next to evaluation and its RNG-free frontier sweeps need no
-       coordination. The generated candidates are then scored through
-       [parallel_map] — evaluation is the beam step's dominant cost. *)
-    List.iter
-      (fun entry ->
-        List.iter
-          (fun (ea, eb) ->
-            let chained =
-              match Armg.generalize cov entry.clause ~example:ea with
-              | None -> None
-              | Some c -> (
-                  match eb with
-                  | None -> Some c
-                  | Some eb -> (
-                      match Armg.generalize cov c ~example:eb with
-                      | None -> Some c
-                      | Some c2 -> Some c2))
-            in
-            match chained with
-            | None -> ()
-            | Some clause ->
-                let key = clause_key clause in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.replace seen key ();
-                  (* keep the ARMG parent: the child inherits its verified
-                     covered sets during evaluation *)
-                  collected := (clause, entry) :: !collected
-                end)
-          (pairs targets))
-      !beam;
+    (* Candidate generation: one job per (beam entry, target pair), each an
+       ARMG chain. ARMG draws no randomness and is a pure function of the
+       clause and the example's ground BC, so the chains fan out over the
+       pool; [parallel_map] keeps job order, and dedup plus parent
+       attachment then run here on the coordinator in that order — the
+       candidate list is the same for every pool size. Generation is not
+       cut by the budget (the anytime cut applies to evaluation only). *)
+    let jobs =
+      List.concat_map
+        (fun entry -> List.map (fun p -> (entry, p)) (pairs targets))
+        !beam
+    in
+    let generated =
+      Obs.Trace.span ~cat:"learn"
+        ~args:[ ("jobs", string_of_int (List.length jobs)) ]
+        "armg_generate"
+      @@ fun () ->
+      Parallel.Par.parallel_map ?pool:config.pool
+        (fun (entry, (ea, eb)) ->
+          Armg.generalize cov entry.clause ~example:ea
+          |> Option.map (fun c ->
+                 let c =
+                   match eb with
+                   | None -> c
+                   | Some eb ->
+                       Option.value (Armg.generalize cov c ~example:eb)
+                         ~default:c
+                 in
+                 (* keep the ARMG parent: the child inherits its verified
+                    covered sets during evaluation *)
+                 (c, entry)))
+        jobs
+    in
+    let collected =
+      List.filter_map
+        (function
+          | Some (clause, _) as fresh ->
+              let key = clause_key clause in
+              if Hashtbl.mem seen key then None
+              else begin
+                Hashtbl.replace seen key ();
+                fresh
+              end
+          | None -> None)
+        generated
+    in
     (* Anytime evaluation: on expiry mid-round, candidates already being
        scored finish (one-job granularity) and the rest come back [None] —
        counted as abandoned, never half-scored. With a live budget this is
@@ -440,7 +455,7 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
     let outcomes =
       Parallel.Par.parallel_map_anytime ?pool:config.pool ~budget
         (fun (clause, parent) -> evaluate ~parent clause)
-        (List.rev !collected)
+        collected
     in
     let resolved = List.filter_map Fun.id outcomes in
     let candidates = List.rev (List.map fst resolved) in
@@ -562,7 +577,7 @@ let meets_criterion ~config ~pos_covered ~neg_covered =
     returns the learned Horn definition with run statistics and the
     degradation record saying why the run ended. *)
 let learn ?(config = default_config) cov ~rng ~positives ~negatives =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Budget.now () in
   (* Always scope a per-call child: [config.timeout] bounds this call even
      when the caller's budget is shared across many (e.g. CV folds), while
      cancellation and counters stay aggregated on the shared cells. *)
@@ -627,7 +642,7 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
             candidates_evaluated = Atomic.get candidates_evaluated;
             rng = Random.State.copy rng;
             counters = Budget.counters_to_assoc (Budget.counters budget);
-            elapsed_s = !base_elapsed +. (Unix.gettimeofday () -. t0);
+            elapsed_s = !base_elapsed +. (Budget.now () -. t0);
           }
         in
         let outcome = try sink ck with _ -> `Skipped in
@@ -758,7 +773,7 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
   | None -> ());
   Budget.set_phase budget "done";
   let degradation = Budget.degradation ~status:!status budget in
-  let elapsed = !base_elapsed +. (Unix.gettimeofday () -. t0) in
+  let elapsed = !base_elapsed +. (Budget.now () -. t0) in
   {
     definition = List.rev !definition;
     stats =

@@ -168,17 +168,118 @@ let coverage_tests =
         in
         Alcotest.(check (list int)) "same ground BCs" (build None)
           (build (Some (pool ()))));
+    Alcotest.test_case "ground_of builds the symbolic index on demand" `Quick
+      (fun () ->
+        (* [warm] builds only the compiled ground; [ground_of] then indexes
+           the same body [build_ground] gives under the context's
+           per-example RNG, once: a repeat call, and racing calls from the
+           pool, all return one physical value. *)
+        let d = Datasets.Uw.generate ~seed:4 ~scale:0.3 () in
+        let db = d.Datasets.Dataset.db
+        and bias = d.Datasets.Dataset.manual_bias in
+        let context () =
+          Coverage.create db bias ~rng:(Random.State.make [| 4; 21 |])
+        in
+        let cov = context () in
+        let seed_base = Random.State.bits (Random.State.make [| 4; 21 |]) in
+        let positives = d.Datasets.Dataset.positives in
+        let examples = positives @ d.Datasets.Dataset.negatives in
+        Coverage.warm cov examples;
+        let bc =
+          Learning.Bottom_clause.build db bias
+            ~rng:(Random.State.make [| 4; 5 |]) ~example:(List.hd positives)
+        in
+        let body = Logic.Clause.body bc in
+        let clauses =
+          [
+            bc;
+            Logic.Clause.make (Logic.Clause.head bc)
+              (List.filteri (fun i _ -> i mod 3 = 0) body);
+            Logic.Parser.clause
+              "advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)";
+          ]
+        in
+        let verdict c g e =
+          match Coverage.head_subst c e with
+          | None -> "head"
+          | Some subst -> (
+              match Logic.Subsumption.eval_prefix ~subst c g with
+              | Logic.Subsumption.Covered _ -> "covered"
+              | Logic.Subsumption.Blocked i -> Printf.sprintf "blocked %d" i)
+        in
+        List.iter
+          (fun e ->
+            let reference =
+              Learning.Bottom_clause.build_ground db bias
+                ~rng:
+                  (Random.State.make
+                     [| seed_base; Relational.Relation.hash_tuple e |])
+                ~example:e
+              |> Logic.Clause.body |> Logic.Subsumption.ground_of_literals
+            in
+            let g = Coverage.ground_of cov e in
+            List.iter
+              (fun c ->
+                Alcotest.(check string) "verdict" (verdict c reference e)
+                  (verdict c g e))
+              clauses;
+            Alcotest.(check bool) "repeat call is the same value" true
+              (g == Coverage.ground_of cov e))
+          (Logic.Util.take 40 examples);
+        let e = List.nth positives 1 in
+        let cov = context () in
+        Coverage.warm cov [ e ];
+        let raced =
+          Par.parallel_map ~pool:(pool ()) (Coverage.ground_of cov)
+            (List.init 16 (fun _ -> e))
+        in
+        Alcotest.(check bool) "racing calls share one value" true
+          (List.for_all (fun g -> g == Coverage.ground_of cov e) raced));
+    Alcotest.test_case "Metrics.evaluate on a pooled context equals sequential"
+      `Quick (fun () ->
+        List.iter
+          (fun ((d : Datasets.Dataset.t), definition) ->
+            let evaluate pool =
+              let cov =
+                Coverage.create ?pool d.Datasets.Dataset.db
+                  d.Datasets.Dataset.manual_bias
+                  ~rng:(Random.State.make [| 8 |])
+              in
+              Evaluation.Metrics.evaluate cov
+                (List.map Logic.Parser.clause definition)
+                ~positives:d.Datasets.Dataset.positives
+                ~negatives:d.Datasets.Dataset.negatives
+            in
+            let seq = evaluate None in
+            Alcotest.(check bool) "scores something" true
+              (seq.Evaluation.Metrics.recall > 0.);
+            Alcotest.(check bool) "same metrics" true
+              (Evaluation.Metrics.equal seq (evaluate (Some (pool ())))))
+          [
+            ( Datasets.Uw.generate ~seed:2 ~scale:0.3 (),
+              [
+                "advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)";
+                "advisedBy(X,Y) :- ta(C,X,T), taughtBy(C,Y,T)";
+              ] );
+            ( Datasets.Flt.generate ~seed:2 ~scale:0.3 (),
+              [
+                "sameSourceVia(X,Y) :- flight(X,S,D), flight(Y,S,D)";
+                "sameSourceVia(X,Y) :- flight(X,S,D), flight(Y,S,E), \
+                 carrier(Y,A), carrier(X,A)";
+              ] );
+          ]);
   ]
 
 (* The headline determinism guarantee (acceptance criterion): a full
    Learn.learn run yields the identical definition sequentially and on a
-   1-domain pool. *)
+   1-domain pool, which runs ARMG generation, candidate evaluation and
+   acceptance counting on two domains. UW, then HIV. *)
 let learn_tests =
   [
     Alcotest.test_case "Learn.learn: pool=None == 1-domain pool" `Slow
       (fun () ->
-        let learn pool =
-          let d = Datasets.Uw.generate ~seed:5 ~scale:0.4 () in
+        let learn generate pool =
+          let d = generate () in
           let rng = Random.State.make [| 5 |] in
           let cov =
             Coverage.create d.Datasets.Dataset.db
@@ -194,10 +295,18 @@ let learn_tests =
           in
           Logic.Clause.definition_to_string r.Learning.Learn.definition
         in
-        let seq = learn None in
-        let par = Pool.with_pool ~size:1 (fun p -> learn (Some p)) in
-        Alcotest.(check string) "identical definition" seq par;
-        Alcotest.(check bool) "nonempty" true (seq <> ""));
+        List.iter
+          (fun generate ->
+            let seq = learn generate None in
+            let par =
+              Pool.with_pool ~size:1 (fun p -> learn generate (Some p))
+            in
+            Alcotest.(check string) "identical definition" seq par;
+            Alcotest.(check bool) "nonempty" true (seq <> ""))
+          [
+            (fun () -> Datasets.Uw.generate ~seed:5 ~scale:0.4 ());
+            (fun () -> Datasets.Hiv.generate ~seed:5 ~scale:0.3 ());
+          ]);
   ]
 
 let suite = pool_tests @ qcheck_tests @ coverage_tests @ learn_tests
