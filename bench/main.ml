@@ -570,16 +570,19 @@ let ablation_overlap () =
 (* Coverage: the incremental coverage engine, cache on vs off.        *)
 (* ------------------------------------------------------------------ *)
 
-(* A/B of the incremental coverage engine on the full learner: the same
-   fixed-seed run with the verdict memo on and off. Verdicts are pure, so
-   the learned definitions must be bit-identical (also under a 1-domain
-   pool); the difference is how many subsumption tests actually run —
-   surfaced through the Budget counters — and the wall clock. Monotone
-   propagation (ARMG/reduction inheritance) is on in both modes. *)
+(* A/B of the verdict cache on the full learner: the same fixed-seed run
+   with the cache on and off. Verdicts are pure and a blocked verdict
+   depends only on the prefix through its blocking literal, so the learned
+   definitions must be bit-identical, sequentially and under a 2-domain
+   pool (which exercises the stripe locks). What the cache buys is fewer
+   subsumption tries — uw.tries_ratio = tries(on)/tries(off), gated at
+   <= 0.8 in CI — some of them whole candidates scored without any
+   evaluation (Budget.Candidate_pruned). Monotone propagation
+   (ARMG/reduction inheritance) is on in both modes. *)
 
 let coverage_bench () =
   hr ();
-  Fmt.pr "Coverage — incremental coverage engine A/B (verdict memo on/off)@.";
+  Fmt.pr "Coverage — verdict cache A/B (cache on/off)@.";
   Fmt.pr "same seed, same learner; definitions must be bit-identical@.";
   hr ();
   let d = generate "uw" in
@@ -587,12 +590,9 @@ let coverage_bench () =
   let run ?pool use_cache =
     let b = Budget.create () in
     let rng = Random.State.make [| options.seed; 3 |] in
-    (* pruning off: the A/B below compares subsumption-try counts between
-       memo on and off, which the failure-constraint store would skew. It
-       gets its own experiment ("pruning"). *)
     let cov =
-      Learning.Coverage.create ~use_cache ~use_pruning:false d.Dataset.db
-        d.Dataset.manual_bias ~rng
+      Learning.Coverage.create ~use_cache d.Dataset.db d.Dataset.manual_bias
+        ~rng
     in
     let config =
       { Learning.Learn.default_config with
@@ -602,17 +602,23 @@ let coverage_bench () =
       Obs.Trace.time (fun () ->
           Learning.Learn.learn ~config cov ~rng ~positives ~negatives)
     in
-    (r, elapsed, Budget.counters b, Learning.Coverage.cache_stats cov)
+    ( r,
+      elapsed,
+      Budget.counters b,
+      Learning.Coverage.cache_stats cov,
+      Learning.Coverage.prune_stats cov )
   in
-  let rc, tc, cc, sc = run true in
-  let ru, tu, cu, _ = run false in
+  let rc, tc, cc, sc, pc = run true in
+  let ru, tu, cu, _, _ = run false in
   let render def = Logic.Clause.definition_to_string def in
   let identical =
     render rc.Learning.Learn.definition = render ru.Learning.Learn.definition
   in
-  let rp, _, _, _ = Parallel.Pool.with_pool ~size:1 (fun p -> run ~pool:p true) in
+  let rp, _, _, _, _ =
+    Parallel.Pool.with_pool ~size:2 (fun p -> run ~pool:p true)
+  in
   let identical_pool =
-    render rc.Learning.Learn.definition = render rp.Learning.Learn.definition
+    render ru.Learning.Learn.definition = render rp.Learning.Learn.definition
   in
   let requests = sc.Learning.Coverage.hits + sc.Learning.Coverage.misses in
   let hit_rate =
@@ -620,21 +626,25 @@ let coverage_bench () =
     else float_of_int sc.Learning.Coverage.hits /. float_of_int requests
   in
   let tries_ratio =
-    if cc.Budget.subsumption_tries = 0 then 0.
+    if cu.Budget.subsumption_tries = 0 then 1.
     else
-      float_of_int cu.Budget.subsumption_tries
-      /. float_of_int cc.Budget.subsumption_tries
+      float_of_int cc.Budget.subsumption_tries
+      /. float_of_int cu.Budget.subsumption_tries
   in
-  Fmt.pr "cache on : %8.3fs  %7d subsumption tries  %7d inherited@." tc
-    cc.Budget.subsumption_tries cc.Budget.coverage_inherited;
+  Fmt.pr "cache on : %8.3fs  %7d subsumption tries  %7d inherited  %5d \
+          candidates pruned@." tc
+    cc.Budget.subsumption_tries cc.Budget.coverage_inherited
+    cc.Budget.candidates_pruned;
   Fmt.pr "cache off: %8.3fs  %7d subsumption tries  %7d inherited@." tu
     cu.Budget.subsumption_tries cu.Budget.coverage_inherited;
   Fmt.pr
-    "memo: %d hits / %d misses (hit rate %.1f%%, %d entries); tries ratio \
-     off/on %.2fx; wall speedup %.2fx@."
-    sc.Learning.Coverage.hits sc.Learning.Coverage.misses (100. *. hit_rate)
-    sc.Learning.Coverage.entries tries_ratio (tu /. tc);
-  Fmt.pr "definitions identical: %s (sequential) / %s (1-domain pool), %d clauses@."
+    "cache: %d whole-key hits / %d requests (%.1f%%), %d blocked-prefix \
+     hits, %d entries (%d blocked); tries ratio on/off %.2fx; wall speedup \
+     %.2fx@."
+    sc.Learning.Coverage.hits requests (100. *. hit_rate)
+    pc.Learning.Coverage.hits sc.Learning.Coverage.entries
+    pc.Learning.Coverage.constraints tries_ratio (tu /. tc);
+  Fmt.pr "definitions identical: %s (sequential) / %s (2-domain pool), %d clauses@."
     (if identical then "YES" else "NO -- DETERMINISM BUG")
     (if identical_pool then "YES" else "NO -- DETERMINISM BUG")
     (List.length rc.Learning.Learn.definition);
@@ -649,10 +659,14 @@ let coverage_bench () =
       ("uw.memo_misses", Bench_json.I sc.Learning.Coverage.misses);
       ("uw.memo_entries", Bench_json.I sc.Learning.Coverage.entries);
       ("uw.hit_rate", Bench_json.F hit_rate);
+      ("uw.prefix_hits", Bench_json.I pc.Learning.Coverage.hits);
+      ("uw.constraints_learned", Bench_json.I cc.Budget.constraints_learned);
+      ("uw.candidates_pruned", Bench_json.I cc.Budget.candidates_pruned);
       ("uw.inherited", Bench_json.I cc.Budget.coverage_inherited);
       ("uw.clauses", Bench_json.I (List.length rc.Learning.Learn.definition));
       ("uw.identical_on_vs_off", Bench_json.B identical);
-      ("uw.identical_pool1", Bench_json.B identical_pool) ];
+      ("uw.identical_pool2", Bench_json.B identical_pool);
+      ("uw.identical", Bench_json.B (identical && identical_pool)) ];
   (* ---- Compiled kernel vs the symbolic oracle, per evaluation ---- *)
   hr ();
   Fmt.pr "Coverage — compiled evaluation A/B (int-coded kernel vs symbolic)@.";
@@ -664,11 +678,9 @@ let coverage_bench () =
      engine ([Subsumption.eval_prefix]) run directly on the same cached
      ground BC. Exact percentiles from the sorted arrays — the process-wide
      Obs histogram (coverage.eval_s) is log-bucketed and sees only the
-     compiled side, so it cannot give an honest A/B. Pruning is off so the
-     back-to-back compiled pairs are both real evaluations, not a
-     prune-store probe answering the second one. *)
+     compiled side, so it cannot give an honest A/B. *)
   let cov =
-    Learning.Coverage.create ~use_cache:false ~use_pruning:false d.Dataset.db
+    Learning.Coverage.create ~use_cache:false d.Dataset.db
       d.Dataset.manual_bias ~rng:(Random.State.make [| options.seed; 3 |])
   in
   let examples = positives @ negatives in
@@ -701,7 +713,7 @@ let coverage_bench () =
         Logic.Subsumption.eval_prefix ~subst c (Learning.Coverage.ground_of cov e)
   in
   (* One pass per engine over every pair; min of 2 back-to-back runs per
-     pair drops timer noise without letting the memo answer (the context
+     pair drops timer noise without letting the cache answer (the context
      is uncached). *)
   let time_evals eval =
     let ts = ref [] and verdicts = ref [] in
@@ -757,95 +769,6 @@ let coverage_bench () =
       ("uw.eval_p95_speedup", Bench_json.F (p95_s /. Float.max p95_c 1e-9)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Pruning: the failure-constraint store A/B (prune on vs off).       *)
-(* ------------------------------------------------------------------ *)
-
-(* The same fixed-seed full-learner run with the failure-constraint store
-   on and off. A stored signature is an exact verdict cache (the prefix up
-   to and including the blocking literal determines the capped evaluator's
-   verdict), so pruning is verdict-preserving: the definitions must be
-   bit-identical, sequentially and under a 2-domain pool. What the store
-   buys is fewer subsumption tries — uw.tries_ratio = tries(on)/tries(off),
-   gated at ≤ 0.8 in CI — plus whole candidates skipped without any
-   evaluation (Budget.Candidate_pruned). *)
-
-let pruning_bench () =
-  hr ();
-  Fmt.pr "Pruning — failure-constraint store A/B (prune on/off)@.";
-  Fmt.pr "same seed, same learner; definitions must be bit-identical@.";
-  hr ();
-  let d = generate "uw" in
-  let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
-  let run ?pool use_pruning =
-    let b = Budget.create () in
-    let rng = Random.State.make [| options.seed; 3 |] in
-    let cov =
-      Learning.Coverage.create ~use_pruning d.Dataset.db d.Dataset.manual_bias
-        ~rng
-    in
-    let config =
-      { Learning.Learn.default_config with
-        timeout = Some options.timeout; budget = Some b; pool }
-    in
-    let r, elapsed =
-      Obs.Trace.time (fun () ->
-          Learning.Learn.learn ~config cov ~rng ~positives ~negatives)
-    in
-    (r, elapsed, Budget.counters b, Learning.Coverage.prune_stats cov)
-  in
-  let rp, tp, cp, sp = run true in
-  let ru, tu, cu, _ = run false in
-  let render def = Logic.Clause.definition_to_string def in
-  let identical =
-    render rp.Learning.Learn.definition = render ru.Learning.Learn.definition
-  in
-  let r2, _, _, _ = Parallel.Pool.with_pool ~size:2 (fun p -> run ~pool:p true) in
-  let identical_pool =
-    render rp.Learning.Learn.definition = render r2.Learning.Learn.definition
-  in
-  let tries_ratio =
-    if cu.Budget.subsumption_tries = 0 then 1.
-    else
-      float_of_int cp.Budget.subsumption_tries
-      /. float_of_int cu.Budget.subsumption_tries
-  in
-  let hit_rate =
-    if sp.Learning.Coverage.probes = 0 then 0.
-    else
-      float_of_int sp.Learning.Coverage.hits
-      /. float_of_int sp.Learning.Coverage.probes
-  in
-  Fmt.pr "prune on : %8.3fs  %7d subsumption tries  %5d candidates pruned@."
-    tp cp.Budget.subsumption_tries cp.Budget.candidates_pruned;
-  Fmt.pr "prune off: %8.3fs  %7d subsumption tries@." tu
-    cu.Budget.subsumption_tries;
-  Fmt.pr
-    "store: %d constraints learned; %d/%d probe hits (%.1f%%); tries ratio \
-     on/off %.2fx; wall speedup %.2fx@."
-    sp.Learning.Coverage.constraints sp.Learning.Coverage.hits
-    sp.Learning.Coverage.probes (100. *. hit_rate) tries_ratio (tu /. tp);
-  Fmt.pr "definitions identical: %s (sequential) / %s (2-domain pool), %d clauses@."
-    (if identical then "YES" else "NO -- SOUNDNESS BUG")
-    (if identical_pool then "YES" else "NO -- SOUNDNESS BUG")
-    (List.length rp.Learning.Learn.definition);
-  Bench_json.record "pruning"
-    [ ("uw.pruned_s", Bench_json.F tp);
-      ("uw.unpruned_s", Bench_json.F tu);
-      ("uw.prune_speedup", Bench_json.F (tu /. tp));
-      ("uw.pruned_tries", Bench_json.I cp.Budget.subsumption_tries);
-      ("uw.unpruned_tries", Bench_json.I cu.Budget.subsumption_tries);
-      ("uw.tries_ratio", Bench_json.F tries_ratio);
-      ("uw.candidates_pruned", Bench_json.I cp.Budget.candidates_pruned);
-      ("uw.constraints_learned", Bench_json.I cp.Budget.constraints_learned);
-      ("uw.prune_probes", Bench_json.I sp.Learning.Coverage.probes);
-      ("uw.prune_hits", Bench_json.I sp.Learning.Coverage.hits);
-      ("uw.prune_hit_rate", Bench_json.F hit_rate);
-      ("uw.prune_constraints", Bench_json.I sp.Learning.Coverage.constraints);
-      ("uw.clauses", Bench_json.I (List.length rp.Learning.Learn.definition));
-      ("uw.prune_identical",
-       Bench_json.B (identical && identical_pool)) ]
-
-(* ------------------------------------------------------------------ *)
 (* Scaling: the beam-evaluation workload across domain-pool sizes.    *)
 (* ------------------------------------------------------------------ *)
 
@@ -867,12 +790,12 @@ let scaling () =
   let d = generate "uw" in
   let rng = Random.State.make [| options.seed |] in
   (* Uncached context for the pool timings: the repeated passes below would
-     otherwise be answered from the verdict memo and measure lock-striped
-     table probes instead of parallel subsumption. The memo's own effect is
+     otherwise be answered from the verdict cache and measure lock-striped
+     table probes instead of parallel subsumption. The cache's own effect is
      measured separately at the end. *)
   let cov =
-    Learning.Coverage.create ~use_cache:false ~use_pruning:false
-      d.Dataset.db d.Dataset.manual_bias ~rng
+    Learning.Coverage.create ~use_cache:false d.Dataset.db
+      d.Dataset.manual_bias ~rng
   in
   let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
   let examples = positives @ negatives in
@@ -967,18 +890,16 @@ let scaling () =
   Fmt.pr "Learn.learn sequential == 1-domain pool: %s (%d clauses)@."
     (if identical then "IDENTICAL" else "DIVERGED")
     (List.length def_seq);
-  (* Verdict-memo A/B over the same workload: three evaluation passes (a
+  (* Verdict-cache A/B over the same workload: three evaluation passes (a
      beam re-scores overlapping candidates constantly), counting actual
-     subsumption tests through the Budget counters. With the memo, repeat
+     subsumption tests through the Budget counters. With the cache, repeat
      passes are all hits, so the off/on ratio must clear ~2x. *)
   let memo_tries use_cache =
     let b = Budget.create () in
     let rng = Random.State.make [| options.seed |] in
-    (* pruning off: repeat passes would otherwise be answered by the
-       failure-constraint store, contaminating the memo's off/on ratio *)
     let cov =
-      Learning.Coverage.create ~use_cache ~use_pruning:false ~budget:b
-        d.Dataset.db d.Dataset.manual_bias ~rng
+      Learning.Coverage.create ~use_cache ~budget:b d.Dataset.db
+        d.Dataset.manual_bias ~rng
     in
     Learning.Coverage.warm cov examples;
     let counts = ref [] in
@@ -1381,7 +1302,6 @@ let experiments =
     ("ablation-overlap", ablation_overlap);
     ("ablation-noise", ablation_noise);
     ("coverage", coverage_bench);
-    ("pruning", pruning_bench);
     ("scaling", scaling);
     ("resilience", resilience_bench);
     ("micro", micro);

@@ -113,13 +113,12 @@ let kill_after_arg =
   in
   Arg.(value & opt (some int) None & info [ "kill-after-clause" ] ~docv:"K" ~doc)
 
-let config ?(coverage_cache = true) ?(pruning = true) ~strategy ~timeout () =
+let config ?(coverage_cache = true) ~strategy ~timeout () =
   {
     Autobias.default_config with
     strategy = Sampling.Strategy.of_string strategy;
     timeout = Some timeout;
     coverage_cache;
-    pruning;
   }
 
 let trace_arg =
@@ -154,7 +153,7 @@ let events_arg =
 let funnel_arg =
   let doc =
     "Print the search-funnel tree after the run: per beam step, where \
-     every generated candidate went (prune-store hit, memo-served, \
+     every generated candidate went (blocked-prefix hit, memo-served, \
      inherited from its parent, really evaluated) and how many entered \
      the beam. Purely observational — results are bit-identical with and \
      without it."
@@ -204,21 +203,12 @@ let with_observability ~trace ~events ~funnel ~metrics ~name ~config k =
 
 let no_cache_arg =
   let doc =
-    "Disable the coverage-verdict memo table (A/B measurement). Verdicts \
-     are pure, so the learned definition is bit-identical with and without \
-     the cache on a fixed seed; only the amount of subsumption work \
-     changes."
+    "Disable the coverage-verdict cache, whole-clause verdicts and blocked \
+     prefixes alike (A/B measurement). Verdicts are pure, so the learned \
+     definition is bit-identical with and without the cache on a fixed \
+     seed; only the amount of subsumption work changes."
   in
   Arg.(value & flag & info [ "no-coverage-cache" ] ~doc)
-
-let no_prune_arg =
-  let doc =
-    "Disable the failure-constraint pruning store (escape hatch / A/B \
-     baseline). Pruning replays exact cached verdicts, so the learned \
-     definition is bit-identical with and without it on a fixed seed; only \
-     the number of subsumption tries changes."
-  in
-  Arg.(value & flag & info [ "no-prune" ] ~doc)
 
 (* Build the budget / pool a command asked for and pass them down; the pool
    is shut down (domains joined) before returning, also on exceptions.
@@ -367,7 +357,7 @@ let load_definition path =
 let learn_cmd =
   let run dataset_name method_name strategy scale seed timeout deadline domains
       chaos chaos_layers chaos_kill checkpoint checkpoint_every resume
-      kill_after no_cache no_prune cv show_bias output trace events
+      kill_after no_cache cv show_bias output trace events
       funnel metrics =
     let dataset = dataset_of_name ~scale ~seed dataset_name in
     let method_ = Autobias.method_of_string method_name in
@@ -393,9 +383,10 @@ let learn_cmd =
     (* --kill-after-clause cancels through the budget, which
        [with_resources] now always provides (signal handling needs it). *)
     let config =
-      { (config ~coverage_cache:(not no_cache) ~pruning:(not no_prune)
-           ~strategy ~timeout ())
-        with budget; pool }
+      { (config ~coverage_cache:(not no_cache) ~strategy ~timeout ()) with
+        budget;
+        pool;
+      }
     in
     let note_resilience () =
       List.iter note_extra (chaos_extra () @ pool_extra pool @ csv_extra ())
@@ -493,19 +484,6 @@ let learn_cmd =
           note_degradation d;
           Fmt.pr "degradation: %a@." Budget.pp_degradation d)
         r.Autobias.degradation;
-      Option.iter
-        (fun { Learning.Coverage.probes; hits; constraints } ->
-          Fmt.pr "pruning: %d constraints learned, %d/%d probes hit@."
-            constraints hits probes;
-          note_extra
-            ( "pruning",
-              Obs.Json.Obj
-                [
-                  ("probes", Obs.Json.Int probes);
-                  ("hits", Obs.Json.Int hits);
-                  ("constraints", Obs.Json.Int constraints);
-                ] ))
-        r.Autobias.prune;
       note_resilience ();
       report_run ~budget:None pool;
       let cov =
@@ -540,7 +518,7 @@ let learn_cmd =
       const run $ dataset_arg $ method_arg $ strategy_arg $ scale_arg $ seed_arg
       $ timeout_arg $ deadline_arg $ domains_arg $ chaos_arg $ chaos_layers_arg
       $ chaos_kill_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ kill_after_arg $ no_cache_arg $ no_prune_arg $ cv_arg
+      $ kill_after_arg $ no_cache_arg $ cv_arg
       $ show_bias_arg
       $ output_arg $ trace_arg $ events_arg $ funnel_arg $ metrics_arg)
 

@@ -54,14 +54,10 @@ type config = {
   ind_max_error : float;  (** α for approximate INDs *)
   use_approximate_inds : bool;  (** ablation knob; the paper always uses them *)
   coverage_cache : bool;
-      (** memoize coverage verdicts in the scoring context (default [true]);
-          verdicts are pure, so results are identical either way —
-          [false] ([--no-coverage-cache]) exists for A/B measurement *)
-  pruning : bool;
-      (** learn failure constraints from rejected candidates and probe them
-          before evaluating (default [true]); verdict-preserving, so the
-          learned definition is bit-identical either way — [false]
-          ([--no-prune]) is the escape hatch / A/B baseline *)
+      (** cache coverage verdicts, blocked ones at their failing prefix,
+          in the scoring context (default [true]); verdicts are pure, so
+          results are identical either way — [false]
+          ([--no-coverage-cache]) exists for A/B measurement *)
   budget : Budget.t option;
       (** run governance: cancelling it stops any learning entry point
           cooperatively; its counters aggregate across folds. Each run still
@@ -96,7 +92,6 @@ let default_config =
     ind_max_error = 0.5;
     use_approximate_inds = true;
     coverage_cache = true;
-    pruning = true;
     budget = None;
     pool = None;
     checkpoint = None;
@@ -208,8 +203,7 @@ let foil_config config =
     [config.pool] for definition scoring. *)
 let coverage_context config (dataset : Datasets.Dataset.t) bias ~rng =
   Learning.Coverage.create ~bc_config:(bc_config config)
-    ~use_cache:config.coverage_cache ~use_pruning:config.pruning
-    ?pool:config.pool dataset.Datasets.Dataset.db bias ~rng
+    ~use_cache:config.coverage_cache ?pool:config.pool dataset.Datasets.Dataset.db bias ~rng
 
 type run_result = {
   definition : Logic.Clause.definition;
@@ -219,9 +213,6 @@ type run_result = {
   degradation : Budget.degradation option;
       (** budget accounting for the run; [None] only for the {!Foil}
           baseline, which predates the governance layer *)
-  prune : Learning.Coverage.prune_stats option;
-      (** failure-constraint store traffic for the run's coverage context;
-          [None] when pruning is off *)
 }
 
 (** [learn_once ?config method_ dataset ~rng ~train_pos ~train_neg] learns a
@@ -257,10 +248,6 @@ let learn_once ?(config = default_config) method_ dataset ~rng ~train_pos
     learn_time = Unix.gettimeofday () -. t0;
     timed_out;
     degradation;
-    prune =
-      (if Learning.Coverage.pruning_enabled cov then
-         Some (Learning.Coverage.prune_stats cov)
-       else None);
   }
 
 (** [cross_validate ?config ?k method_ dataset ~seed] runs the dataset's

@@ -35,14 +35,10 @@ type config = {
   ind_max_error : float;  (** α for approximate INDs (paper: 0.5) *)
   use_approximate_inds : bool;  (** ablation knob; the paper always uses them *)
   coverage_cache : bool;
-      (** memoize coverage verdicts (default [true]); verdicts are pure, so
-          learned definitions are identical either way — [false] exists for
-          A/B measurement ([--no-coverage-cache]) *)
-  pruning : bool;
-      (** learn failure constraints from rejected candidates and probe them
-          before evaluating (default [true]); verdict-preserving, so learned
-          definitions are bit-identical either way — [false] ([--no-prune])
-          is the escape hatch / A/B baseline *)
+      (** cache coverage verdicts, blocked ones at their failing prefix
+          (default [true]); verdicts are pure, so learned definitions are
+          identical either way — [false] exists for A/B measurement
+          ([--no-coverage-cache]) *)
   budget : Budget.t option;
       (** run governance (deadline + cancellation + degradation counters):
           cancelling it stops any learning entry point cooperatively; each
@@ -111,9 +107,6 @@ type run_result = {
   timed_out : bool;
   degradation : Budget.degradation option;
       (** budget accounting; [None] only for the {!Foil} baseline *)
-  prune : Learning.Coverage.prune_stats option;
-      (** failure-constraint store traffic (probes / hits / constraints)
-          for the run's coverage context; [None] when pruning is off *)
 }
 
 (** [learn_once ?config method_ dataset ~rng ~train_pos ~train_neg] learns a

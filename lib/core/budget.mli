@@ -86,24 +86,34 @@ val sleepf : ?budget:t -> ?stop:(unit -> bool) -> float -> unit
 
     Under a domain pool, [subsumption_tries], [candidates_pruned],
     [constraints_learned], [coverage_memo_hits] and [coverage_memo_misses]
-    depend on scheduling: two workers can miss the verdict memo on one
-    (clause, example) at once and both evaluate it, and a failure-constraint
-    probe hits only if a sibling stored its signature first. Verdicts and
-    definitions do not change; sequential runs count exactly. *)
+    depend on scheduling: two workers can miss the verdict cache on one
+    (clause, example) at once and both evaluate it, and a clause is
+    answered from a blocked prefix only if a sibling stored that prefix
+    first. Verdicts and definitions do not change; sequential runs count
+    exactly. *)
 
 type event =
-  | Subsumption_try  (** one budgeted backtracking attempt started *)
-  | Subsumption_restart  (** a randomized restart after budget exhaustion *)
+  | Subsumption_try
+      (** one real coverage evaluation: a compiled frontier run of a clause
+          against an example's ground BC. Verdicts from the cache or
+          inherited from a parent clause count none. *)
+  | Subsumption_restart
+      (** a randomized restart of the backtracking test
+          ([Logic.Subsumption.subsumes_answer]) after node-budget
+          exhaustion. No learner path calls that test, so this reads 0 on
+          every learn. *)
   | Subsumption_exhausted
-      (** every restart ran out of nodes: the test {e gave up} (answered
-          "no" without proving it) rather than proved no subsumption *)
+      (** every restart of the backtracking test ran out of nodes: it
+          {e gave up} (answered "no" without proving it) rather than proved
+          no subsumption. Like [Subsumption_restart], 0 on every learn. *)
   | Coverage_truncated
       (** a substitution frontier overflowed its cap and was subsampled *)
   | Coverage_memo_hit
-      (** a coverage verdict was served from the memo table without running
-          a subsumption test *)
+      (** a coverage verdict was served from the verdict cache at the
+          clause's whole key, without running a subsumption test *)
   | Coverage_memo_miss
-      (** a coverage verdict had to be computed (and was then memoized) *)
+      (** the verdict cache had no entry at the clause's whole key: the
+          verdict came from a stored blocked prefix or was computed *)
   | Coverage_inherited
       (** a coverage verdict was inherited from a parent clause by ARMG
           monotonicity, without running a subsumption test *)
@@ -122,11 +132,11 @@ type event =
           run continues, the previous checkpoint survives *)
   | Candidate_pruned
       (** a beam candidate (or the bottom clause) was scored without
-          running the evaluator, with at least one verdict from the
-          failure-constraint store *)
+          running the evaluator, with at least one verdict from a blocked
+          prefix in the verdict cache *)
   | Constraint_learned
-      (** a blocked coverage verdict was turned into a reusable
-          failure-constraint signature in the prune store *)
+      (** a blocked coverage verdict was stored in the verdict cache at the
+          prefix through its blocking literal *)
 
 (** [hit t e] bumps [e]'s counter by one. Lock-free. *)
 val hit : t -> event -> unit

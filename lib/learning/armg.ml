@@ -7,7 +7,7 @@
     drops body literals that lost head-connectedness.
 
     The implementation is incremental: a single left-to-right sweep of the
-    substitution-set frontier ({!Logic.Subsumption.step_frontier}). When the
+    substitution-set frontier ({!Logic.Subsumption.step_frontier_n}). When the
     frontier dies at literal [L_i], the prefix before it is untouched by the
     removal, so the sweep resumes at position [i] with the saved frontier —
     the whole operator costs one frontier step per surviving literal plus

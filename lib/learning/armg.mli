@@ -2,7 +2,7 @@
     repeatedly remove the {e blocking atom} — the least-indexed body literal
     whose prefix fails to cover the example — until the example is covered,
     then drop literals that lost head-connectedness. Implemented as a single
-    incremental frontier sweep: one {!Logic.Subsumption.step_frontier} per
+    incremental frontier sweep: one {!Logic.Subsumption.step_frontier_n} per
     surviving literal. *)
 
 (** [generalize cov clause ~example] applies ARMG. [None] when the clause

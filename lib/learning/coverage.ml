@@ -21,80 +21,169 @@
 module Value = Relational.Value
 
 (* Observability handles, registered once at module init. The histogram
-   tracks real (uncached) subsumption evaluations; memo traffic and
+   tracks real (uncached) subsumption evaluations; cache traffic and
    inheritance stay in the Budget counters — the single source of truth for
    degradation accounting — and show up as span args here. *)
 let m_eval = Obs.Metrics.histogram "coverage.eval_s"
 let m_tests = Obs.Metrics.counter "coverage.tests"
 let m_ground_bcs = Obs.Metrics.counter "coverage.ground_bcs_built"
 
-(* {2 The coverage memo}
+(* {2 The verdict cache}
 
    Coverage verdicts are pure: [eval] is a function of (clause, ground BC)
    and the ground BC of an example is a pure function of (master seed,
-   example). The memo therefore caches verdicts keyed by (clause key,
+   example). The cache therefore keeps verdicts keyed by (clause key,
    example) — the clause key is the compiled plan's canonical int-id array,
    injective exactly where the printed clause is (ARMG and reduction never
    rename variables), with no printing per test — and a cached verdict is
    bit-identical to a recomputed one, so enabling the cache cannot change
    any learned definition.
 
-   The table is {e lock-striped}: the domain pool hammers it from every
-   worker during beam evaluation, and a single mutex would serialize the
-   hot path the pool exists to parallelize. A stripe is picked by key hash;
-   locks are held only for the table probe / insert. Misses compute the
-   verdict outside any lock (racing duplicates insert the same value).
+   A [Blocked i] verdict depends only on the clause prefix through literal
+   [i]: the frontier evaluator never looks past the literal it dies at, and
+   its truncation subsampling is deterministic (ARMG's blocking atom,
+   Section 2.3.2). So a blocked verdict is stored at that prefix of the key
+   — the key is prefix-free, pred then arity then exactly arity args per
+   literal — where it answers every clause that starts with the same
+   literals. A [Covered] verdict depends on the whole clause and is stored
+   at the full key. A lookup probes the full key, then the literal
+   boundaries shortest first, accepting only blocked entries there: a
+   covered prefix says nothing about the clauses that extend it.
+
+   The table is striped by example, so a lookup takes one stripe lock and
+   pool workers scoring different examples do not contend. Misses compute
+   the verdict outside any lock (racing duplicates insert the same value).
    Stripes are capped so a long run cannot grow the table without bound:
    once a stripe is full, new verdicts are simply not remembered — which is
-   deterministic, verdicts being pure. Like the failure-constraint store,
-   the memo is never checkpointed: a resumed run recomputes what it needs. *)
+   deterministic, verdicts being pure. The cache is never checkpointed: a
+   resumed run recomputes what it needs. *)
 
-let memo_stripes = 16
-let memo_stripe_cap = 1 lsl 14  (** per stripe; ~256k entries in total *)
+let cache_stripes = 16
+let stripe_cap = 1 lsl 14  (** per stripe; ~256k entries in total *)
 
-(* The memo hash reads the whole clause key and the example. [Hashtbl.hash]
-   on the pair would stop after 10 ints, all from the clause key (real keys
-   are longer), and put every verdict of one clause in one bucket chain. *)
-let memo_hash key example =
-  Hashtbl.hash
-    (Array.fold_left
-       (fun acc x -> (acc * 31) + x)
-       (Relational.Relation.hash_tuple example)
-       key)
+(* The hash of the first [len] ints of a clause key and the example, rolled
+   one int at a time so every literal boundary of a key gets its hash in one
+   pass. [Hashtbl.hash] on the pair would stop after 10 ints, all from the
+   clause key (real keys are longer), and put every verdict of one clause in
+   one bucket chain. *)
+let roll acc x = (acc * 31) + x
+let seal acc = Hashtbl.hash acc
 
-(* Memo keys carry their hash, computed once per lookup. [Hashtbl] picks
-   buckets from the low bits of it; the stripe takes the top 4 of its 30
-   bits, so each stripe's table spreads over all its buckets. *)
-type memo_key = {
+(* An entry covers the first [len] ints of [key]; an entry stored at a
+   prefix shares the array of the clause that produced it. *)
+type cache_key = {
   hash : int;
-  clause_key : int array;
+  key : int array;
+  len : int;
   example : Relational.Relation.tuple;
 }
 
-let memo_key clause_key example =
-  { hash = memo_hash clause_key example; clause_key; example }
+(* [seed] is the example's tuple hash, computed once per lookup. *)
+let prefix_key ~seed key len example =
+  let acc = ref seed in
+  for j = 0 to len - 1 do
+    acc := roll !acc key.(j)
+  done;
+  { hash = seal !acc; key; len; example }
 
-let memo_stripe k = (k.hash lsr 26) land (memo_stripes - 1)
+let memo_hash key example =
+  let seed = Relational.Relation.hash_tuple example in
+  (prefix_key ~seed key (Array.length key) example).hash
 
-module Memo_tbl = Hashtbl.Make (struct
-  type t = memo_key
+module Cache_tbl = Hashtbl.Make (struct
+  type t = cache_key
 
   let equal a b =
-    a.hash = b.hash
-    && a.clause_key = b.clause_key
+    a.hash = b.hash && a.len = b.len
+    && (let rec same i = i >= a.len || (a.key.(i) = b.key.(i) && same (i + 1)) in
+        same 0)
     && Relational.Relation.equal_tuple a.example b.example
 
   let hash k = k.hash
 end)
 
-type memo = {
-  tables : Logic.Subsumption.verdict Memo_tbl.t array;
-  locks : Mutex.t array;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
+type stripe = {
+  lock : Mutex.t;
+  table : Logic.Subsumption.verdict Cache_tbl.t;
+  mutable blocked : int;  (** [Blocked] entries in [table] *)
+}
+
+type cache = {
+  stripes : stripe array;
+  hits : int Atomic.t;  (** whole-key hits *)
+  misses : int Atomic.t;  (** lookups without a whole-key hit *)
+  prefix_hits : int Atomic.t;  (** misses answered by a blocked prefix *)
 }
 
 type cache_stats = { hits : int; misses : int; entries : int }
+type prune_stats = { probes : int; hits : int; constraints : int }
+
+(* End offset of the literal segment after [p] in a canonical key. *)
+let next_boundary key p = p + 2 + key.(p + 1)
+
+(* [lookup c key example] — the cached verdict of the clause with canonical
+   key [key], and whether it came from the whole key ([true]) or from a
+   blocked prefix ([false]). Holds the example's stripe lock throughout. *)
+let stripe_of c seed = c.stripes.(seed land max_int mod cache_stripes)
+
+let lookup c key example =
+  let seed = Relational.Relation.hash_tuple example in
+  let n = Array.length key in
+  let full = prefix_key ~seed key n example in
+  let st = stripe_of c seed in
+  Mutex.lock st.lock;
+  let r =
+    match Cache_tbl.find_opt st.table full with
+    | Some v -> Some (v, true)
+    | None ->
+        let rec walk acc i p =
+          if p >= n then None
+          else
+            let acc = ref acc in
+            for j = i to p - 1 do
+              acc := roll !acc key.(j)
+            done;
+            match
+              Cache_tbl.find_opt st.table
+                { hash = seal !acc; key; len = p; example }
+            with
+            | Some (Logic.Subsumption.Blocked _ as v) -> Some (v, false)
+            | Some (Logic.Subsumption.Covered _) | None ->
+                walk !acc p (next_boundary key p)
+        in
+        walk seed 0 (next_boundary key 0)
+  in
+  Mutex.unlock st.lock;
+  r
+
+(* [store c key example v] remembers [v]: at the full key when covered, at
+   the prefix through the blocking literal when blocked. [true] iff a new
+   blocked entry was stored. *)
+let store c key example v =
+  let len =
+    match v with
+    | Logic.Subsumption.Covered _ -> Array.length key
+    | Logic.Subsumption.Blocked i ->
+        let p = ref (next_boundary key 0) in
+        for _ = 1 to i do
+          p := next_boundary key !p
+        done;
+        !p
+  in
+  let seed = Relational.Relation.hash_tuple example in
+  let k = prefix_key ~seed key len example in
+  let st = stripe_of c seed in
+  Mutex.lock st.lock;
+  let added =
+    Cache_tbl.length st.table < stripe_cap && not (Cache_tbl.mem st.table k)
+  in
+  if added then Cache_tbl.add st.table k v;
+  let blocked =
+    added && match v with Logic.Subsumption.Blocked _ -> true | _ -> false
+  in
+  if blocked then st.blocked <- st.blocked + 1;
+  Mutex.unlock st.lock;
+  blocked
 
 (* A cached ground BC. The compiled form drives every coverage verdict and
    is built with the entry, outside the cache lock. The symbolic hash index
@@ -115,22 +204,19 @@ type t = {
   seed_base : int;  (** master seed for per-example ground-BC RNGs *)
   grounds : (Relational.Relation.tuple, ground_entry) Hashtbl.t;
   lock : Mutex.t;  (** guards [grounds] *)
-  memo : memo option;  (** [None] = caching disabled ([--no-coverage-cache]) *)
+  cache : cache option;
+      (** the verdict cache; [None] = disabled ([--no-coverage-cache]) *)
   pool : Parallel.Pool.t option;
       (** the pool callers that score definitions on this context fan out
           over; coverage itself never reads it *)
   compiled : Eval_plan.t;
-  prune : Prune.t option;
-      (** failure-constraint store ([None] = [--no-prune]); a probe hit
-          returns the exact verdict evaluation would compute, so pruning
-          never changes results either *)
   budget : Budget.t option;
-      (** sink for degradation counters (frontier truncations, memo
+      (** sink for degradation counters (frontier truncations, cache
           hits/misses); never changes any coverage verdict *)
 }
 
 let create ?(bc_config = Bottom_clause.default_config) ?budget
-    ?(use_cache = true) ?(use_pruning = true) ?pool db bias ~rng =
+    ?(use_cache = true) ?pool db bias ~rng =
   {
     db;
     bias;
@@ -138,46 +224,55 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
     seed_base = Random.State.bits rng;
     grounds = Hashtbl.create 256;
     lock = Mutex.create ();
-    memo =
+    cache =
       (if use_cache then
          Some
            {
-             tables = Array.init memo_stripes (fun _ -> Memo_tbl.create 512);
-             locks = Array.init memo_stripes (fun _ -> Mutex.create ());
+             stripes =
+               Array.init cache_stripes (fun _ ->
+                   {
+                     lock = Mutex.create ();
+                     table = Cache_tbl.create 512;
+                     blocked = 0;
+                   });
              hits = Atomic.make 0;
              misses = Atomic.make 0;
+             prefix_hits = Atomic.make 0;
            }
        else None);
     pool;
     compiled = Eval_plan.create ();
-    prune = (if use_pruning then Some (Prune.create ()) else None);
     budget;
   }
 
-let pruning_enabled t = t.prune <> None
+(* Sum [f] over the stripes, each read under its lock. *)
+let sum_stripes (c : cache) f =
+  Array.fold_left
+    (fun acc (st : stripe) ->
+      Mutex.lock st.lock;
+      let n = acc + f st in
+      Mutex.unlock st.lock;
+      n)
+    0 c.stripes
 
-type prune_stats = Prune.stats = { probes : int; hits : int; constraints : int }
-
-let prune_stats t =
-  match t.prune with
-  | None -> { probes = 0; hits = 0; constraints = 0 }
-  | Some ps -> Prune.stats ps
-
-let cache_stats t =
-  match t.memo with
+let cache_stats t : cache_stats =
+  match t.cache with
   | None -> { hits = 0; misses = 0; entries = 0 }
-  | Some m ->
-      let entries = ref 0 in
-      Array.iteri
-        (fun i tbl ->
-          Mutex.lock m.locks.(i);
-          entries := !entries + Memo_tbl.length tbl;
-          Mutex.unlock m.locks.(i))
-        m.tables;
+  | Some c ->
       {
-        hits = Atomic.get m.hits;
-        misses = Atomic.get m.misses;
-        entries = !entries;
+        hits = Atomic.get c.hits;
+        misses = Atomic.get c.misses;
+        entries = sum_stripes c (fun st -> Cache_tbl.length st.table);
+      }
+
+let prune_stats t : prune_stats =
+  match t.cache with
+  | None -> { probes = 0; hits = 0; constraints = 0 }
+  | Some c ->
+      {
+        probes = Atomic.get c.misses;
+        hits = Atomic.get c.prefix_hits;
+        constraints = sum_stripes c (fun st -> st.blocked);
       }
 
 (** [with_budget t budget] is [t] reporting into [budget]: a shallow copy
@@ -248,10 +343,10 @@ let ground_of t example =
       if Atomic.compare_and_set g.sym None (Some s) then s
       else Option.get (Atomic.get g.sym)
 
-(* Batch entry points run inside a span carrying the batch size and the memo
-   traffic the batch generated (hit/miss deltas read from the memo's own
-   atomics). Checking [enabled] first keeps the disabled path at one atomic
-   load before the real work. *)
+(* Batch entry points run inside a span carrying the batch size and the
+   cache traffic the batch generated (hit/miss deltas read from the cache's
+   own atomics). Checking [enabled] first keeps the disabled path at one
+   atomic load before the real work. *)
 let traced_batch t name ~examples f =
   if not (Obs.Trace.enabled ()) then f ()
   else
@@ -259,14 +354,14 @@ let traced_batch t name ~examples f =
       ~args:[ ("examples", string_of_int examples) ]
       name
       (fun () ->
-        match t.memo with
+        match t.cache with
         | None -> f ()
-        | Some m ->
-            let h0 = Atomic.get m.hits and m0 = Atomic.get m.misses in
+        | Some c ->
+            let h0 = Atomic.get c.hits and m0 = Atomic.get c.misses in
             let r = f () in
-            Obs.Trace.arg "memo_hits" (string_of_int (Atomic.get m.hits - h0));
+            Obs.Trace.arg "memo_hits" (string_of_int (Atomic.get c.hits - h0));
             Obs.Trace.arg "memo_misses"
-              (string_of_int (Atomic.get m.misses - m0));
+              (string_of_int (Atomic.get c.misses - m0));
             r)
 
 (** [warm ?pool t examples] precomputes the compiled ground BCs of
@@ -303,7 +398,7 @@ let head_subst clause (example : Relational.Relation.tuple) =
   end
 
 (* One real frontier evaluation. Counts as a subsumption try so the Budget
-   counters expose exactly how many tests the memo and ARMG inheritance
+   counters expose exactly how many tests the cache and ARMG inheritance
    avoided. *)
 let eval_uncached t clause example =
   Budget.hit_opt t.budget Budget.Subsumption_try;
@@ -320,63 +415,40 @@ let eval_uncached t clause example =
 
 type source = Memo | Store | Computed
 
-(* One verdict, cheapest honest route: probe the failure-constraint store
-   first (a trie walk instead of a frontier evaluation — a hit returns the
-   exact verdict evaluation would compute), fall back to the real
-   evaluator, and turn any fresh blocked verdict into a stored constraint
-   for the next candidate that shares the failing prefix. *)
-let compute t clause example =
-  match t.prune with
-  | Some ps -> (
-      let key = Eval_plan.key t.compiled clause in
-      match Prune.probe ps ~example ~key with
-      | Some i -> (Logic.Subsumption.Blocked i, Store)
-      | None ->
-          let v = eval_uncached t clause example in
-          (match v with
-          | Logic.Subsumption.Blocked i ->
-              if Prune.learn ps ~example ~key ~blocked:i then
-                Budget.hit_opt t.budget Budget.Constraint_learned
-          | Logic.Subsumption.Covered _ -> ());
-          (v, Computed))
-  | None -> (eval_uncached t clause example, Computed)
-
 (** [eval_src t clause example] evaluates [clause] against [example] with
     the substitution-set prefix evaluator: [Covered w] with a witness, or
     [Blocked i] with the 1-based index of the blocking body literal — the
     primitive ARMG needs (Section 2.3.2). [Blocked 0] means the head itself
     cannot be bound to the example. The second component says who answered:
-    the verdict memo, the failure-constraint store, or a real evaluation.
-    The verdict is identical whichever did; the tag only feeds {!Learn}'s
-    search-funnel accounting. *)
+    the cache at the whole key, the cache at a blocked prefix, or a real
+    evaluation. The verdict is identical whichever did; the tag only feeds
+    {!Learn}'s search-funnel accounting. *)
 let eval_src t clause example =
-  match t.memo with
-  | None -> compute t clause example
-  (* "memo" chaos: pretend the cache lost this entry — bypass the probe
+  match t.cache with
+  | None -> (eval_uncached t clause example, Computed)
+  (* "memo" chaos: pretend the cache lost this entry — bypass the lookup
      and the insert and recompute. Purity of verdicts means the answer is
      identical, so chaos here degrades throughput, never correctness. *)
-  | Some _ when Chaos.fires "memo" -> compute t clause example
-  | Some m -> (
-      let key = memo_key (Eval_plan.key t.compiled clause) example in
-      let s = memo_stripe key in
-      let lock = m.locks.(s) and tbl = m.tables.(s) in
-      Mutex.lock lock;
-      let cached = Memo_tbl.find_opt tbl key in
-      Mutex.unlock lock;
-      match cached with
-      | Some v ->
-          Atomic.incr m.hits;
+  | Some _ when Chaos.fires "memo" -> (eval_uncached t clause example, Computed)
+  | Some c -> (
+      let key = Eval_plan.key t.compiled clause in
+      match lookup c key example with
+      | Some (v, true) ->
+          Atomic.incr c.hits;
           Budget.hit_opt t.budget Budget.Coverage_memo_hit;
           (v, Memo)
-      | None ->
-          Atomic.incr m.misses;
+      | found -> (
+          Atomic.incr c.misses;
           Budget.hit_opt t.budget Budget.Coverage_memo_miss;
-          let (v, _) as r = compute t clause example in
-          Mutex.lock lock;
-          if Memo_tbl.length tbl < memo_stripe_cap && not (Memo_tbl.mem tbl key)
-          then Memo_tbl.add tbl key v;
-          Mutex.unlock lock;
-          r)
+          match found with
+          | Some (v, _) ->
+              Atomic.incr c.prefix_hits;
+              (v, Store)
+          | None ->
+              let v = eval_uncached t clause example in
+              if store c key example v then
+                Budget.hit_opt t.budget Budget.Constraint_learned;
+              (v, Computed)))
 
 let eval t clause example = fst (eval_src t clause example)
 

@@ -4,60 +4,58 @@
     are built once per example with the same sampling strategy used for
     bottom clauses and cached in the context.
 
-    The context is safe to share across domains: the cache sits behind a
-    mutex whose critical sections are just the table operations, and ground
+    The context is safe to share across domains: the ground-BC cache sits
+    behind a mutex whose critical sections are just the table operations,
+    the verdict cache behind per-example-stripe locks, and ground
     BCs are built from a per-example [Random.State] derived from the master
     seed — so the cache contents are a pure function of (seed, example),
     independent of pool size, scheduling, and query order. *)
 
 type t
 
-(** Snapshot of the verdict memo: lifetime hit/miss counts and the number of
-    entries currently stored. All zero when caching is disabled. *)
+(** Snapshot of the verdict cache: lifetime whole-key hits, lookups without
+    a whole-key hit, and the number of entries stored. All zero when caching
+    is disabled. *)
 type cache_stats = { hits : int; misses : int; entries : int }
 
-(** [?budget] is a sink for degradation counters (frontier truncations, memo
-    hits/misses); it never changes any coverage verdict. [?use_cache]
-    (default [true]) enables the lock-striped verdict memo: verdicts are pure
+(** [?budget] is a sink for degradation counters (frontier truncations,
+    cache hits/misses); it never changes any coverage verdict. [?use_cache]
+    (default [true]) enables the verdict cache, one table striped by
+    example. A [Covered] verdict is stored at the clause's full canonical
+    key; a [Blocked i] verdict at the key's prefix through literal [i],
+    where it answers every clause that starts with those literals (the
+    evaluator never looks past the literal it dies at). Verdicts are pure
     functions of (clause, example) given the captured seed, so caching is
-    invisible to results — [false] exists for A/B measurement
-    ([--no-coverage-cache]). Every verdict is computed by the int-coded
-    compiled kernel ({!Logic.Compiled}), which is bit-identical to the
-    symbolic frontier engine ({!Logic.Subsumption.eval_prefix}, kept as the
-    test oracle). [?use_pruning] (default [true]) arms the
-    failure-constraint store ({!Prune}): blocked verdicts become prefix
-    signatures that answer later evaluations without running the frontier.
-    A probe hit returns the exact verdict evaluation would compute, so
-    pruning is also invisible to results — [false] ([--no-prune]) is the
-    A/B escape hatch. [?pool] is stored for the callers that score a whole
-    definition on the context ({!pool}); no verdict depends on it. *)
+    invisible to results — [false] ([--no-coverage-cache]) exists for A/B
+    measurement. Every verdict is computed by the int-coded compiled kernel
+    ({!Logic.Compiled}), which is bit-identical to the symbolic frontier
+    engine ({!Logic.Subsumption.eval_prefix}, kept as the test oracle).
+    [?pool] is stored for the callers that score a whole definition on the
+    context ({!pool}); no verdict depends on it. *)
 val create :
   ?bc_config:Bottom_clause.config ->
   ?budget:Budget.t ->
   ?use_cache:bool ->
-  ?use_pruning:bool ->
   ?pool:Parallel.Pool.t ->
   Relational.Database.t ->
   Bias.Language.t ->
   rng:Random.State.t ->
   t
 
-val pruning_enabled : t -> bool
-
-(** Failure-constraint store snapshot (all zero when pruning is off). *)
-type prune_stats = Prune.stats = {
-  probes : int;
-  hits : int;
-  constraints : int;
-}
+(** The verdict cache seen as a store of blocked prefixes: [probes] are
+    lookups without a whole-key hit, [hits] the probes a blocked prefix
+    answered, [constraints] the blocked entries stored. All zero when
+    caching is disabled. *)
+type prune_stats = { probes : int; hits : int; constraints : int }
 
 val prune_stats : t -> prune_stats
 
-(** [cache_stats t] — a consistent-enough snapshot of the verdict memo. *)
+(** [cache_stats t] — a consistent-enough snapshot of the verdict cache. *)
 val cache_stats : t -> cache_stats
 
-(** [memo_hash key example] — the verdict memo's hash of a (canonical clause
-    key, example) pair. It reads every int of [key] and the whole example. *)
+(** [memo_hash key example] — the verdict cache's hash of a (canonical
+    clause key, example) pair. It reads every int of [key] and the whole
+    example. *)
 val memo_hash : int array -> Relational.Relation.tuple -> int
 
 (** [with_budget t budget] is [t] reporting into [budget]: a shallow copy
@@ -92,9 +90,11 @@ val warm : ?pool:Parallel.Pool.t -> t -> Relational.Relation.tuple list -> unit
 val head_subst :
   Logic.Clause.t -> Relational.Relation.tuple -> Logic.Substitution.t option
 
-(** Who answered a verdict: the verdict memo, the failure-constraint store
-    (a stored failure signature prefixes the clause), or a real evaluation
-    (the only case that counts a [Subsumption_try]). *)
+(** Who answered a verdict: the verdict cache at the clause's whole key,
+    the cache at a blocked prefix of it, or a real evaluation (the only
+    case that counts a [Subsumption_try]). A repeat of a clause blocked
+    before its last literal is answered by its stored prefix, so it is
+    [Store], not [Memo]. *)
 type source = Memo | Store | Computed
 
 (** [eval_src t clause example] — [Covered w] with a witness, or

@@ -152,8 +152,8 @@ let clause_key c = Logic.Clause.to_string c
    off the sources its coverage calls reported: at least one real
    subsumption evaluation makes it evaluated; no coverage call at all
    (every example inherited from the parent) makes it inherited; otherwise
-   any verdict from the failure-constraint store makes it a prune hit, and
-   all-memo verdicts a memo hit. *)
+   any verdict from a blocked prefix in the verdict cache makes it a prune
+   hit, and all whole-key cache verdicts a memo hit. *)
 type funnel_class = F_pruned | F_inherited | F_memo | F_evaluated
 
 (* The ranking samples of one clause search with their rate-correction
@@ -209,7 +209,7 @@ let take = Logic.Util.take
    covers is covered by the child — those entries are {e inherited}
    (counted as [Coverage_inherited]) and only the remaining examples are
    actually retested. The bottom clause's parent arrays are all [false].
-   Inheritance is independent of the verdict memo, so it never changes a
+   Inheritance is independent of the verdict cache, so it never changes a
    verdict.
 
    [~staged:true] ranks beam candidates. Stage 1: a handful of positives —

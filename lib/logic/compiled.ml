@@ -37,7 +37,7 @@
     - adjacency buckets preserve the symbolic engine's reverse-insertion
       order, candidate selection keeps its earliest-position-wins tie rule,
       and the dedup / rotation / stride-truncation sequence of
-      {!Subsumption.step_frontier} is reproduced case by case. *)
+      {!Subsumption.step_frontier_n} is reproduced case by case. *)
 
 module Value = Relational.Value
 
@@ -509,7 +509,7 @@ let eval ?(cap = Subsumption.default_frontier_cap) ?budget scratch tab plan g =
           end
         in
         (* Rotation (≤ cap) or stride truncation (> cap), as in
-           [step_frontier]. *)
+           [step_frontier_n]. *)
         if m <= cap then begin
           for i = 1 to m - 1 do
             !nxt_idx.(i - 1) <- ord.(i)

@@ -395,12 +395,12 @@ type verdict =
 
 let default_frontier_cap = 24
 
-(** [step_frontier ?cap g frontier lit] advances the frontier across one body
-    literal: all extensions of frontier substitutions that map [lit] into
-    [g], deduplicated (duplicates arise when [lit] is already fully bound),
-    capped at [cap] (expansion stops at [4 × cap] raw extensions), and
-    rotated so a truncated tail gets its turn at the next literal. An empty
-    result means [lit] blocks. *)
+(** [step_frontier_n ?cap g frontier ~frontier_n lit] advances the frontier
+    across one body literal: all extensions of frontier substitutions that
+    map [lit] into [g], deduplicated (duplicates arise when [lit] is already
+    fully bound), capped at [cap] (expansion stops at [4 × cap] raw
+    extensions), and rotated so a truncated tail gets its turn at the next
+    literal. An empty result means [lit] blocks. *)
 let step_frontier_n ?(cap = default_frontier_cap) ?budget g frontier
     ~frontier_n lit =
   (* Fair expansion: every frontier substitution gets an equal share of the
@@ -467,13 +467,8 @@ let step_frontier_n ?(cap = default_frontier_cap) ?budget g frontier
     finish arr !m
   end
 
-let step_frontier ?cap ?budget g frontier lit =
-  fst
-    (step_frontier_n ?cap ?budget g frontier
-       ~frontier_n:(List.length frontier) lit)
-
 (** [eval_prefix ?cap ?budget ~subst c g] evaluates the body of [c] against
-    [g] left to right starting from [subst], one {!step_frontier} per body
+    [g] left to right starting from [subst], one {!step_frontier_n} per body
     literal; frontier truncations report into [budget]. *)
 let eval_prefix ?cap ?budget ~subst c g =
   Obs.Trace.span ~cat:"subsumption" "eval_prefix" @@ fun () ->

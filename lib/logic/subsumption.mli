@@ -86,24 +86,15 @@ type verdict =
 
 val default_frontier_cap : int
 
-(** [step_frontier ?cap ?budget g frontier lit] advances the frontier across
-    one body literal: all extensions mapping [lit] into [g], deduplicated,
-    stride-capped at [cap] (preserving binding diversity), and rotated.
-    An empty result means [lit] blocks. A cap overflow — the point where
-    the test becomes approximate — bumps [budget]'s [Coverage_truncated]
-    counter instead of passing silently. *)
-val step_frontier :
-  ?cap:int ->
-  ?budget:Budget.t ->
-  ground ->
-  Substitution.t list ->
-  Literal.t ->
-  Substitution.t list
-
-(** [step_frontier_n ?cap ?budget g frontier ~frontier_n lit] is
-    {!step_frontier} for callers that already know [frontier]'s length
-    (every producer of a frontier does); returns the new frontier with its
-    length, so a left-to-right sweep never recounts a list. *)
+(** [step_frontier_n ?cap ?budget g frontier ~frontier_n lit] advances the
+    frontier across one body literal: all extensions mapping [lit] into
+    [g], deduplicated, stride-capped at [cap] (preserving binding
+    diversity), and rotated. An empty result means [lit] blocks. A cap
+    overflow — the point where the test becomes approximate — bumps
+    [budget]'s [Coverage_truncated] counter instead of passing silently.
+    [frontier_n] is [frontier]'s length, which every producer of a frontier
+    already knows; the new frontier comes back with its length, so a
+    left-to-right sweep never recounts a list. *)
 val step_frontier_n :
   ?cap:int ->
   ?budget:Budget.t ->
@@ -114,7 +105,7 @@ val step_frontier_n :
   Substitution.t list * int
 
 (** [eval_prefix ?cap ?budget ~subst c g] evaluates the body of [c] left to
-    right from [subst], one {!step_frontier} per literal. *)
+    right from [subst], one {!step_frontier_n} per literal. *)
 val eval_prefix :
   ?cap:int -> ?budget:Budget.t -> subst:Substitution.t -> Clause.t -> ground -> verdict
 

@@ -19,8 +19,10 @@ type row = {
   generated : int;  (** candidates produced (after dedup) and resolved *)
   prune_hit : int;
       (** scored without running the evaluator, with at least one verdict
-          from the failure-constraint store *)
-  memo_hit : int;  (** scored with every coverage verdict memo-served *)
+          from a blocked prefix in the verdict cache *)
+  memo_hit : int;
+      (** scored with every coverage verdict served from the verdict cache
+          at the clause's whole key *)
   inherited : int;  (** scored entirely from parent-inherited coverage *)
   evaluated : int;  (** needed at least one real subsumption evaluation *)
   accepted : int;  (** entered the beam at this step *)

@@ -5,9 +5,9 @@
     indices, so the snapshot is small and re-anchors against the caller's
     example list on resume), the skip counters, and the learner RNG — the
     one piece that makes resumption {e bit-identical}: every random draw
-    the continuation will make is determined by it. Caches of verdicts (the
-    coverage memo, the failure-constraint store) are not learner state and
-    stay out: a resumed run recomputes them.
+    the continuation will make is determined by it. The coverage verdict
+    cache is not learner state and stays out: a resumed run recomputes
+    it.
 
     Serialization is an {!Obs.Json} object. The [Random.State.t] and the
     learned clauses ride inside it as hex-encoded [Marshal] blobs (the

@@ -6,9 +6,8 @@
     continue {e bit-identically} to an uninterrupted run at the same seed:
     the clauses learned so far, the indices of the original positives still
     uncovered, the skip/progress counters, the degradation counters, and —
-    crucially — the learner's [Random.State.t] at the boundary. Caches of
-    verdicts (the coverage memo, the failure-constraint store) stay out; a
-    resumed run recomputes them. The container is {!Obs.Json}; the RNG and
+    crucially — the learner's [Random.State.t] at the boundary. The coverage
+    verdict cache stays out; a resumed run recomputes it. The container is {!Obs.Json}; the RNG and
     the clause structures travel as hex-encoded [Marshal] blobs inside it
     (printed clauses only round-trip up to alpha-equivalence; bit-identical
     resumption needs the exact term structure), with a printed-clause list

@@ -62,9 +62,13 @@ let verb_of_request = function
 
 let ( let* ) = Result.bind
 
+(* Every float option is a size or a number of seconds: [nan] would slip
+   through every comparison (a [nan] deadline never fires) and [inf] or a
+   non-positive value names no usable size or time. *)
 let parse_float key v =
   match float_of_string_opt v with
-  | Some f -> Ok f
+  | Some f when Float.is_finite f && f > 0. -> Ok f
+  | Some _ -> Error (Printf.sprintf "%s: not a finite positive number: %S" key v)
   | None -> Error (Printf.sprintf "%s: not a number: %S" key v)
 
 let parse_int key v =

@@ -11,6 +11,7 @@
     v}
 
     e.g. [learn uw method=autobias scale=0.5 seed=7 timeout=10 deadline=30].
+    [scale], [timeout] and [deadline] must be finite and positive.
     Responses are single-line JSON ({!response_to_json}); a submission the
     daemon refuses gets a typed {!rejection} instead of a silent drop. *)
 

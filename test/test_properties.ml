@@ -67,8 +67,9 @@ let coverage_properties =
          (fun (seed, j) ->
            (* Two contexts over the same world and master seed: one memoized,
               one the uncached oracle. Every verdict must agree, and asking
-              the memoized context twice (second answer is a cache hit) must
-              not change it. *)
+              the memoized context twice (second answer comes from the
+              cache, at the whole key or at a blocked prefix) must not
+              change it. *)
            let s = 1 + (seed mod 17) in
            let d = Datasets.Uw.generate ~seed:s ~scale:0.3 () in
            let mk use_cache =

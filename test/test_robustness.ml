@@ -378,7 +378,7 @@ let learner_tests =
       "coverage cache on/off: bit-identical definitions, fewer tests" `Slow
       (fun () ->
         (* The acceptance criterion of the incremental coverage engine: on a
-           fixed seed the memo must be invisible to results — sequentially
+           fixed seed the cache must be invisible to results — sequentially
            and under a pool — while doing measurably less subsumption
            work. *)
         let cached = learn_uw ~timeout:600. ~use_cache:true ~seed:5 () in

@@ -71,6 +71,12 @@ let protocol_tests =
             "learn uw seed=1.5";
             "learn uw bogus";
             "learn uw unknown=1";
+            "learn uw scale=nan";
+            "learn uw scale=inf";
+            "learn uw timeout=nan";
+            "learn uw timeout=-1";
+            "learn uw deadline=inf";
+            "learn uw deadline=0";
           ]);
     Alcotest.test_case "responses and rejections render to valid JSON" `Quick
       (fun () ->
