@@ -39,7 +39,6 @@ let now () =
 
 type event =
   | Subsumption_try
-  | Subsumption_restart
   | Subsumption_exhausted
   | Coverage_truncated
   | Coverage_memo_hit
@@ -58,24 +57,23 @@ type event =
 
 let event_index = function
   | Subsumption_try -> 0
-  | Subsumption_restart -> 1
-  | Subsumption_exhausted -> 2
-  | Coverage_truncated -> 3
-  | Coverage_memo_hit -> 4
-  | Coverage_memo_miss -> 5
-  | Coverage_inherited -> 6
-  | Beam_cut -> 7
-  | Candidate_abandoned -> 8
-  | Job_skipped -> 9
-  | Worker_fault -> 10
-  | Worker_restarted -> 11
-  | Job_quarantined -> 12
-  | Checkpoint_written -> 13
-  | Checkpoint_skipped -> 14
-  | Candidate_pruned -> 15
-  | Constraint_learned -> 16
+  | Subsumption_exhausted -> 1
+  | Coverage_truncated -> 2
+  | Coverage_memo_hit -> 3
+  | Coverage_memo_miss -> 4
+  | Coverage_inherited -> 5
+  | Beam_cut -> 6
+  | Candidate_abandoned -> 7
+  | Job_skipped -> 8
+  | Worker_fault -> 9
+  | Worker_restarted -> 10
+  | Job_quarantined -> 11
+  | Checkpoint_written -> 12
+  | Checkpoint_skipped -> 13
+  | Candidate_pruned -> 14
+  | Constraint_learned -> 15
 
-let n_events = 17
+let n_events = 16
 
 type t = {
   deadline : float option;  (** absolute, per scope *)
@@ -155,7 +153,6 @@ let hit_opt b e = Option.iter (fun t -> hit t e) b
 
 type counters = {
   subsumption_tries : int;
-  subsumption_restarts : int;
   subsumption_exhausted : int;
   coverage_truncated : int;
   coverage_memo_hits : int;
@@ -177,7 +174,6 @@ let counters t =
   let get e = Atomic.get t.cells.(event_index e) in
   {
     subsumption_tries = get Subsumption_try;
-    subsumption_restarts = get Subsumption_restart;
     subsumption_exhausted = get Subsumption_exhausted;
     coverage_truncated = get Coverage_truncated;
     coverage_memo_hits = get Coverage_memo_hit;
@@ -198,7 +194,6 @@ let counters t =
 let zero =
   {
     subsumption_tries = 0;
-    subsumption_restarts = 0;
     subsumption_exhausted = 0;
     coverage_truncated = 0;
     coverage_memo_hits = 0;
@@ -218,7 +213,6 @@ let zero =
 
 let counters_leq a b =
   a.subsumption_tries <= b.subsumption_tries
-  && a.subsumption_restarts <= b.subsumption_restarts
   && a.subsumption_exhausted <= b.subsumption_exhausted
   && a.coverage_truncated <= b.coverage_truncated
   && a.coverage_memo_hits <= b.coverage_memo_hits
@@ -238,7 +232,6 @@ let counters_leq a b =
 let counters_to_assoc c =
   [
     ("subsumption_tries", c.subsumption_tries);
-    ("subsumption_restarts", c.subsumption_restarts);
     ("subsumption_exhausted", c.subsumption_exhausted);
     ("coverage_truncated", c.coverage_truncated);
     ("coverage_memo_hits", c.coverage_memo_hits);
@@ -260,7 +253,6 @@ let counters_to_assoc c =
    re-credit the counters a checkpoint recorded onto its own budget. *)
 let event_of_name = function
   | "subsumption_tries" -> Some Subsumption_try
-  | "subsumption_restarts" -> Some Subsumption_restart
   | "subsumption_exhausted" -> Some Subsumption_exhausted
   | "coverage_truncated" -> Some Coverage_truncated
   | "coverage_memo_hits" -> Some Coverage_memo_hit

@@ -97,15 +97,11 @@ type event =
       (** one real coverage evaluation: a compiled frontier run of a clause
           against an example's ground BC. Verdicts from the cache or
           inherited from a parent clause count none. *)
-  | Subsumption_restart
-      (** a randomized restart of the backtracking test
-          ([Logic.Subsumption.subsumes_answer]) after node-budget
-          exhaustion. No learner path calls that test, so this reads 0 on
-          every learn. *)
   | Subsumption_exhausted
-      (** every restart of the backtracking test ran out of nodes: it
-          {e gave up} (answered "no" without proving it) rather than proved
-          no subsumption. Like [Subsumption_restart], 0 on every learn. *)
+      (** a subsumption test gave up on its node budget instead of
+          proving non-coverage. It has no producer: the restarted
+          backtracking test that raised it was deleted, so it reads 0 on
+          every run. It stays because benchmark output still reports it. *)
   | Coverage_truncated
       (** a substitution frontier overflowed its cap and was subsampled *)
   | Coverage_memo_hit
@@ -155,7 +151,6 @@ val add_assoc : t -> (string * int) list -> unit
 
 type counters = {
   subsumption_tries : int;
-  subsumption_restarts : int;
   subsumption_exhausted : int;
   coverage_truncated : int;
   coverage_memo_hits : int;

@@ -11,41 +11,11 @@
 module Value = Relational.Value
 
 type config = {
-  node_budget : int;  (** backtracking nodes per clause *)
+  node_budget : int;  (** {!Query.search} nodes per clause *)
   max_results : int;  (** derived head tuples per clause *)
 }
 
 let default_config = { node_budget = 2_000_000; max_results = 100_000 }
-
-exception Done
-
-(* Enumerate solutions of [body] over [db], calling [emit] on each witness
-   substitution. Uses the same index-backed fail-first ordering as
-   {!Query}. *)
-let enumerate ~config db body emit =
-  let nodes = ref 0 in
-  let tick () =
-    incr nodes;
-    if !nodes > config.node_budget then raise Done
-  in
-  let rec search remaining subst =
-    tick ();
-    match remaining with
-    | [] -> emit subst
-    | _ -> (
-        let sorted =
-          List.map (fun l -> (Query.estimate db subst l, l)) remaining
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        match sorted with
-        | [] -> emit subst
-        | (_, lit) :: tl ->
-            let rest = List.map snd tl in
-            List.iter
-              (fun s -> search rest s)
-              (Query.candidates db subst lit))
-  in
-  try search body Logic.Substitution.empty with Done -> ()
 
 (** [derive ?config db clause] is the set of ground head tuples [clause]
     derives over [db], sorted and duplicate-free. Head variables that the
@@ -55,23 +25,31 @@ let enumerate ~config db body emit =
 let derive ?(config = default_config) db clause =
   let head = Logic.Clause.head clause in
   let out = Hashtbl.create 256 in
+  (* [Some ()] stops the search: the result cap is reached. *)
   let emit subst =
-    if Hashtbl.length out >= config.max_results then raise Done;
-    let args =
-      Array.map
-        (fun t -> Logic.Substitution.apply_term subst t)
-        (Logic.Literal.args head)
-    in
-    if Array.for_all Logic.Term.is_const args then begin
-      let tuple =
+    if Hashtbl.length out >= config.max_results then Some ()
+    else begin
+      let args =
         Array.map
-          (function Logic.Term.Const v -> v | Logic.Term.Var _ -> assert false)
-          args
+          (fun t -> Logic.Substitution.apply_term subst t)
+          (Logic.Literal.args head)
       in
-      Hashtbl.replace out tuple ()
+      if Array.for_all Logic.Term.is_const args then
+        Hashtbl.replace out
+          (Array.map
+             (function
+               | Logic.Term.Const v -> v | Logic.Term.Var _ -> assert false)
+             args)
+          ();
+      None
     end
   in
-  (try enumerate ~config db (Logic.Clause.body clause) emit with Done -> ());
+  (try
+     ignore
+       (Query.search
+          ~config:{ Query.node_budget = config.node_budget }
+          db ~subst:Logic.Substitution.empty (Logic.Clause.body clause) emit)
+   with Query.Budget_exhausted -> ());
   Hashtbl.fold (fun t () acc -> t :: acc) out [] |> List.sort compare
 
 (** [derive_definition ?config db def] is the union of {!derive} over the
@@ -79,10 +57,3 @@ let derive ?(config = default_config) db clause =
 let derive_definition ?config db def =
   List.concat_map (fun c -> derive ?config db c) def
   |> List.sort_uniq compare
-
-(** [predict ?config db def example] tests one tuple by query execution —
-    equivalent to {!Query.definition_covers} but named for the prediction
-    use-case. *)
-let predict ?config db def example =
-  ignore config;
-  Query.definition_covers db def example

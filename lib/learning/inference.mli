@@ -3,7 +3,7 @@
     Datalog without negation, so one pass per clause suffices). *)
 
 type config = {
-  node_budget : int;  (** backtracking nodes per clause *)
+  node_budget : int;  (** {!Query.search} nodes per clause *)
   max_results : int;  (** derived head tuples per clause *)
 }
 
@@ -20,8 +20,3 @@ val derive :
 val derive_definition :
   ?config:config -> Relational.Database.t -> Logic.Clause.definition ->
   Relational.Relation.tuple list
-
-(** [predict ?config db def example] — one-tuple query-based test. *)
-val predict :
-  ?config:config -> Relational.Database.t -> Logic.Clause.definition ->
-  Relational.Relation.tuple -> bool

@@ -17,7 +17,8 @@
       engine).
 
     The bench harness compares this engine against {!Coverage} to regenerate
-    the Section 5 motivation. *)
+    the Section 5 motivation; {!Inference} enumerates its solutions to
+    materialize learned definitions. *)
 
 module Value = Relational.Value
 module Relation = Relational.Relation
@@ -88,39 +89,35 @@ let estimate db subst lit =
         args;
       !best
 
-(** [satisfiable ?config db ~subst body] decides whether the conjunctive
-    query [body] has a solution over [db] extending [subst]. Returns the
-    witnessing substitution. Raises {!Budget_exhausted} when the node budget
-    runs out. *)
-let satisfiable ?(config = default_config) db ~subst body =
+(** [search ?config db ~subst body on_solution] walks the solutions of the
+    conjunctive query [body] over [db] that extend [subst], in fail-first
+    order, until [on_solution] returns [Some]. Each search node costs one
+    unit of the node budget. Raises {!Budget_exhausted} when it runs out. *)
+let search ?(config = default_config) db ~subst body on_solution =
   let nodes = ref 0 in
   let tick () =
     incr nodes;
     if !nodes > config.node_budget then raise Budget_exhausted
   in
-  let rec search remaining subst =
+  let rec go remaining subst =
     tick ();
-    match remaining with
-    | [] -> Some subst
-    | _ ->
-        let sorted =
-          List.map (fun l -> (estimate db subst l, l)) remaining
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        (match sorted with
-        | [] -> Some subst
-        | (_, lit) :: tl ->
-            let rest = List.map snd tl in
-            let rec try_candidates = function
-              | [] -> None
-              | s :: more -> (
-                  match search rest s with
-                  | Some _ as ok -> ok
-                  | None -> try_candidates more)
-            in
-            try_candidates (candidates db subst lit))
+    match
+      List.map (fun l -> (estimate db subst l, l)) remaining
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    with
+    | [] -> on_solution subst
+    | (_, lit) :: tl ->
+        let rest = List.map snd tl in
+        List.find_map (fun s -> go rest s) (candidates db subst lit)
   in
-  search body subst
+  go body subst
+
+(** [satisfiable ?config db ~subst body] decides whether the conjunctive
+    query [body] has a solution over [db] extending [subst]. Returns the
+    first witnessing substitution. Raises {!Budget_exhausted} when the node
+    budget runs out. *)
+let satisfiable ?config db ~subst body =
+  search ?config db ~subst body Option.some
 
 (** [covers ?config db clause example] runs the clause as a
     Select-Project-Join query with the head bound to [example]. An exhausted

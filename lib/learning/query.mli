@@ -3,7 +3,8 @@
     clause body runs as a conjunctive query over the {e full} database with
     index-backed, fail-first backtracking and a node budget (exhaustion
     counts as non-coverage, the same under-approximation direction as the
-    subsumption engine). *)
+    subsumption engine). {!search} is the repo's one exact conjunctive-query
+    search: {!Inference} enumerates its solutions. *)
 
 exception Budget_exhausted
 
@@ -11,21 +12,21 @@ type config = { node_budget : int }
 
 val default_config : config
 
-(** [candidates db subst lit] — substitutions extending [subst] that map
-    [lit] onto a database tuple (index-probed on the most selective bound
-    column). Exposed for {!Inference}. *)
-val candidates :
+(** [search ?config db ~subst body on_solution] is the fail-first,
+    index-backed search: it calls [on_solution] on each solution of [body]
+    over [db] extending [subst], in search order, and stops at the first
+    [Some]. Every search node costs one unit of [config.node_budget].
+    @raise Budget_exhausted when the node budget runs out. *)
+val search :
+  ?config:config ->
   Relational.Database.t ->
-  Logic.Substitution.t ->
-  Logic.Literal.t ->
-  Logic.Substitution.t list
+  subst:Logic.Substitution.t ->
+  Logic.Literal.t list ->
+  (Logic.Substitution.t -> 'a option) ->
+  'a option
 
-(** [estimate db subst lit] — cheap candidate-count estimate used for
-    literal ordering. *)
-val estimate : Relational.Database.t -> Logic.Substitution.t -> Logic.Literal.t -> int
-
-(** [satisfiable ?config db ~subst body] decides the conjunctive query,
-    returning a witness.
+(** [satisfiable ?config db ~subst body] is {!search} stopped at the
+    first solution: it decides the conjunctive query, returning a witness.
     @raise Budget_exhausted when the node budget runs out. *)
 val satisfiable :
   ?config:config ->

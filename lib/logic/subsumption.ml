@@ -1,32 +1,25 @@
 (** θ-subsumption testing (Section 5 of the paper).
 
     Clause [c] θ-subsumes ground clause [g] iff there is a substitution θ with
-    body(c)θ ⊆ body(g). Deciding this is NP-hard, so, following the paper's
-    reference [29] (Kuzelka & Zelezny's restarted strategy), the engine runs a
-    backtracking search with
+    body(c)θ ⊆ body(g). Deciding this is NP-hard, so the engine is an
+    approximate left-to-right {e substitution-frontier} evaluator: the set
+    of ways each body prefix maps into [g] is advanced one literal at a time
+    and capped, so the test errs only toward "no" (coverage is
+    under-approximated, never over-approximated). It reports the paper's
+    {e blocking atom} for free, which is what ARMG needs.
 
-    - candidate filtering through a (predicate, position, value) index over
-      the ground literals, so a literal with any bound argument only probes
-      matching ground literals;
-    - decomposition of the body into variable-connected components solved
-      independently (one joint exponential search becomes a sum of small
-      ones), sharing a single node budget per try;
-    - incremental candidate maintenance over arrays: binding a literal
-      refilters only the open literals sharing a freshly-bound variable,
-      instead of rebuilding every remaining candidate list at every node;
-    - fail-first dynamic literal ordering (fewest candidate matches first)
-      with unit propagation (single-candidate literals are bound eagerly);
-    - a node budget per try and randomized restarts when the budget runs out.
-
-    With the budget exhausted on every restart the test answers [false] — an
-    under-approximation of coverage, exactly the trade-off the paper makes. *)
+    Ground literals are indexed by (predicate, position, value), so a
+    literal with any bound argument only probes matching ground literals.
+    The compiled kernel ({!Compiled}) runs the same sweep over int-coded
+    ground BCs in production; this engine is what ARMG and the kernel's
+    oracle tests use. The exact reference is [Learning.Query]. *)
 
 type ground = {
   by_pred : (string, Literal.t array) Hashtbl.t;
   by_pred_pos_value :
     (string * int * Relational.Value.t, int * Literal.t list) Hashtbl.t;
       (** buckets carry their cached length: candidate selection compares
-          bucket sizes on every probe of every search node, and recomputing
+          bucket sizes on every probe of every frontier step, and recomputing
           [List.length] there made it O(arity · bucket) per literal *)
   literal_count : int;
 }
@@ -74,15 +67,6 @@ let ground_literals g =
     (fun _ arr acc -> Array.fold_left (fun acc l -> l :: acc) acc arr)
     g.by_pred []
 
-exception Budget_exhausted
-
-type config = {
-  node_budget : int;  (** backtracking nodes allowed per try *)
-  restarts : int;  (** randomized retries after the first try *)
-}
-
-let default_config = { node_budget = 10_000; restarts = 2 }
-
 (* Ground literals possibly matching [lit] under [subst]: if some argument is
    bound (a constant, or a variable bound by [subst]), probe the smallest
    value-index bucket; otherwise fall back to the predicate bucket. *)
@@ -120,263 +104,6 @@ let candidates g subst lit =
   candidate_literals g subst lit
   |> List.filter_map (fun gl -> Substitution.match_literal subst lit gl)
 
-(* {2 Decomposed, incremental backtracking}
-
-   Two structural optimizations over a monolithic re-scoring search:
-
-   - {e connected-component decomposition}: after head binding, body
-     literals in distinct variable-connected components (connectivity
-     through variables still unbound by the head substitution) constrain
-     disjoint variable sets, so one joint search over the whole body — an
-     exponential in the total body size — splits into a product of
-     independent searches, each exponential only in its component's size.
-     The components share one node budget per try.
-
-   - {e incremental candidate maintenance}: each open literal carries the
-     array of ground literals still matching it under the current partial
-     substitution. Binding a literal refilters only the entries that share
-     a freshly-bound variable — everything else is untouched — where the
-     previous engine rebuilt and re-matched every remaining literal's
-     candidate list at every search node. Arrays are persistent down a
-     branch (backtracking restores them for free) and only ever shrink. *)
-
-type entry = {
-  elit : Literal.t;
-  evars : int list;  (** distinct variables of [elit] *)
-  cands : Literal.t array;
-      (** ground literals matching [elit] under the current substitution *)
-}
-
-let entry_of g subst lit =
-  let matching =
-    List.filter
-      (fun gl -> Substitution.match_literal subst lit gl <> None)
-      (candidate_literals g subst lit)
-  in
-  { elit = lit; evars = Literal.vars lit; cands = Array.of_list matching }
-
-let refilter subst e =
-  let kept =
-    Array.fold_left
-      (fun acc gl ->
-        if Substitution.match_literal subst e.elit gl <> None then gl :: acc
-        else acc)
-      [] e.cands
-  in
-  { e with cands = Array.of_list (List.rev kept) }
-
-(* One backtracking try over one component, charging search nodes to the
-   shared [nodes] counter. [rng] randomizes branch order on restart tries;
-   the first try is deterministic. Returns [None] only when the component's
-   space was exhausted — a proof of no match (budget exhaustion raises). *)
-let solve_component ~config ~rng ~nodes g subst0 body =
-  let tick () =
-    incr nodes;
-    if !nodes > config.node_budget then raise Budget_exhausted
-  in
-  let shuffle arr =
-    match rng with
-    | None -> arr
-    | Some st ->
-        let a = Array.copy arr in
-        let n = Array.length a in
-        for i = n - 1 downto 1 do
-          let j = Random.State.int st (i + 1) in
-          let tmp = a.(i) in
-          a.(i) <- a.(j);
-          a.(j) <- tmp
-        done;
-        a
-  in
-  (* Fail-first: branch on the entry with the fewest live candidates (first
-     in body order on ties); a single-candidate entry is thereby bound
-     eagerly (unit propagation) and an empty one fails the node. *)
-  let rec search entries subst =
-    tick ();
-    match entries with
-    | [] -> Some subst
-    | _ -> (
-        let best =
-          List.fold_left
-            (fun acc e ->
-              match acc with
-              | Some b when Array.length b.cands <= Array.length e.cands -> acc
-              | _ -> Some e)
-            None entries
-        in
-        match best with
-        | None -> assert false
-        | Some e ->
-            if Array.length e.cands = 0 then None
-            else begin
-              let rest = List.filter (fun x -> not (x == e)) entries in
-              let order =
-                if Array.length e.cands = 1 then e.cands else shuffle e.cands
-              in
-              let rec try_branches i =
-                if i >= Array.length order then None
-                else
-                  let gl = order.(i) in
-                  match Substitution.match_literal subst e.elit gl with
-                  | None -> assert false (* cands are live under [subst] *)
-                  | Some subst' ->
-                      let fresh =
-                        List.filter
-                          (fun v -> not (Substitution.mem v subst))
-                          e.evars
-                      in
-                      let dead = ref false in
-                      let rest' =
-                        if fresh = [] then rest
-                        else
-                          List.map
-                            (fun x ->
-                              if
-                                List.exists
-                                  (fun v -> List.mem v x.evars)
-                                  fresh
-                              then begin
-                                let x' = refilter subst' x in
-                                if Array.length x'.cands = 0 then dead := true;
-                                x'
-                              end
-                              else x)
-                            rest
-                      in
-                      if !dead then try_branches (i + 1)
-                      else begin
-                        match search rest' subst' with
-                        | Some _ as ok -> ok
-                        | None -> try_branches (i + 1)
-                      end
-              in
-              try_branches 0
-            end)
-  in
-  let entries = List.map (entry_of g subst0) body in
-  if List.exists (fun e -> Array.length e.cands = 0) entries then None
-  else search entries subst0
-
-(* Variable-connected components of [body] under [subst]: literals in
-   distinct components share no unbound variable. Each component keeps its
-   literals in body order; components come out in order of their first
-   literal. Literals with no unbound variable are singleton components
-   (their check is a pure candidate probe). *)
-let components subst body =
-  let tagged =
-    List.mapi
-      (fun i l ->
-        ( i,
-          l,
-          List.filter (fun v -> not (Substitution.mem v subst)) (Literal.vars l)
-        ))
-      body
-  in
-  let rec group = function
-    | [] -> []
-    | ((_, _, vs0) as item) :: rest ->
-        let rec close vars members pending =
-          let touched, untouched =
-            List.partition
-              (fun (_, _, vs) -> List.exists (fun v -> List.mem v vars) vs)
-              pending
-          in
-          if touched = [] then (members, pending)
-          else
-            close
-              (List.fold_left (fun acc (_, _, vs) -> vs @ acc) vars touched)
-              (members @ touched) untouched
-        in
-        let members, rest = close vs0 [ item ] rest in
-        members :: group rest
-  in
-  group tagged
-  |> List.map (fun members ->
-         List.sort (fun (i, _, _) (j, _, _) -> compare i j) members
-         |> List.map (fun (_, l, _) -> l))
-
-type answer =
-  | Subsumed of Substitution.t
-  | Not_subsumed
-  | Gave_up
-
-(** [subsumes_answer ?config ?rng ?budget ~subst c g] is the engine's honest
-    verdict: [Subsumed w] with a witness, [Not_subsumed] when some try
-    {e exhausted the search space} within its node budget (a proof of no
-    subsumption — restarts would be wasted work and are skipped), or
-    [Gave_up] when every try ran out of nodes. The boolean entry points
-    conflate the last two (both answer "no", the paper's under-approximating
-    trade-off); this one keeps them apart and reports tries / restarts /
-    give-ups into [budget]'s counters. *)
-let subsumes_answer ?(config = default_config) ?rng ?budget ~subst c g =
-  Obs.Trace.span ~cat:"subsumption" "subsumes" @@ fun () ->
-  if Obs.Trace.enabled () then begin
-    Obs.Trace.arg "body_lits" (string_of_int (List.length (Clause.body c)));
-    Obs.Trace.arg "ground_lits" (string_of_int (ground_size g))
-  end;
-  let comps = components subst (Clause.body c) in
-  (* Witnesses of distinct components bind disjoint variables (each extends
-     the shared head substitution), so their union is a witness for the
-     whole body. *)
-  let merge_witness acc w =
-    List.fold_left
-      (fun acc (v, value) -> Substitution.bind v value acc)
-      acc (Substitution.bindings w)
-  in
-  let attempt r =
-    Budget.hit_opt budget Budget.Subsumption_try;
-    let nodes = ref 0 in
-    let rec solve acc = function
-      | [] -> `Found acc
-      | comp :: rest -> (
-          match solve_component ~config ~rng:r ~nodes g subst comp with
-          | Some w -> solve (merge_witness acc w) rest
-          | None -> `No)
-    in
-    (try solve subst comps with Budget_exhausted -> `Out)
-  in
-  match attempt None with
-  | `Found s -> Subsumed s
-  | `No -> Not_subsumed
-  | `Out ->
-      let rng =
-        match rng with
-        | Some st -> st
-        | None -> Random.State.make [| 0x5eed |]
-      in
-      let rec retry k =
-        if k = 0 then begin
-          Budget.hit_opt budget Budget.Subsumption_exhausted;
-          Obs.Trace.arg "gave_up" "true";
-          Gave_up
-        end
-        else begin
-          Budget.hit_opt budget Budget.Subsumption_restart;
-          Obs.Trace.arg "restart" (string_of_int (config.restarts - k + 1));
-          match attempt (Some rng) with
-          | `Found s -> Subsumed s
-          | `No -> Not_subsumed
-          | `Out -> retry (k - 1)
-        end
-      in
-      retry config.restarts
-
-(** [subsumes_subst ?config ?rng ?budget ~subst c g] tests whether the body
-    of [c] maps into [g] by some extension of [subst] (the head is assumed
-    already matched — coverage testing binds it from the example). Returns
-    the witnessing substitution; [Gave_up] collapses to [None]. *)
-let subsumes_subst ?config ?rng ?budget ~subst c g =
-  match subsumes_answer ?config ?rng ?budget ~subst c g with
-  | Subsumed s -> Some s
-  | Not_subsumed | Gave_up -> None
-
-(** [subsumes ?config ?rng ?budget c g] is [subsumes_subst] from the empty
-    substitution: plain θ-subsumption of [c]'s body into [g]. *)
-let subsumes ?config ?rng ?budget c g =
-  match subsumes_subst ?config ?rng ?budget ~subst:Substitution.empty c g with
-  | Some _ -> true
-  | None -> false
-
 (** {1 Prefix evaluation with substitution sets}
 
     Bottom clauses list their body in construction order, so each literal is
@@ -385,9 +112,8 @@ let subsumes ?config ?rng ?budget c g =
     ways the prefix maps into the ground clause — both fast and exactly what
     ARMG needs: the first literal whose frontier dies is the {e blocking
     atom} of Section 2.3.2. The frontier is capped at [cap] substitutions
-    (uniformly subsampled when it overflows), which makes the test
-    approximate in the same under-approximating direction as the budgeted
-    backtracking above. *)
+    (stride-subsampled when it overflows), which makes the test approximate
+    in the under-approximating direction only. *)
 
 type verdict =
   | Covered of Substitution.t  (** a witness substitution *)

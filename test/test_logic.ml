@@ -1,5 +1,5 @@
 (* Tests for the logic substrate: terms, literals, substitutions, clauses,
-   parsing, and both subsumption engines. *)
+   parsing, and the frontier subsumption engine against the exact search. *)
 
 module Value = Relational.Value
 module Term = Logic.Term
@@ -153,34 +153,43 @@ let parser_tests =
 
 (* A small ground clause used by the subsumption tests: the co-authorship
    neighbourhood from the paper's running example. *)
-let ground_uw () =
-  Subsumption.ground_of_literals
-    (List.map lit
-       [
-         "student(juan)";
-         "professor(sarita)";
-         "inPhase(juan,post_quals)";
-         "hasPosition(sarita,assistant_prof)";
-         "publication(p1,juan)";
-         "publication(p1,sarita)";
-         "publication(p2,juan)";
-       ])
+let uw_literals =
+  List.map lit
+    [
+      "student(juan)";
+      "professor(sarita)";
+      "inPhase(juan,post_quals)";
+      "hasPosition(sarita,assistant_prof)";
+      "publication(p1,juan)";
+      "publication(p1,sarita)";
+      "publication(p2,juan)";
+    ]
+
+let ground_uw () = Subsumption.ground_of_literals uw_literals
+
+(* The exact search decides; on a clause this small the frontier engine
+   must give the same answer. *)
+let subsumes ?(subst = Substitution.empty) c =
+  let exact = Exact.subsumes ~subst c uw_literals in
+  Alcotest.(check bool) "frontier agrees" exact
+    (Subsumption.covers_ground ~subst c (ground_uw ()));
+  exact
 
 let subsumption_tests =
   [
     Alcotest.test_case "positive subsumption with shared variable" `Quick
       (fun () ->
         let c = clause "advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)" in
-        Alcotest.(check bool) "subsumes" true (Subsumption.subsumes c (ground_uw ())));
+        Alcotest.(check bool) "subsumes" true (subsumes c));
     Alcotest.test_case "negative subsumption when join value differs" `Quick
       (fun () ->
         let c = clause "advisedBy(X,Y) :- publication(Z,X), inPhase(Z,Y)" in
-        Alcotest.(check bool) "no" false (Subsumption.subsumes c (ground_uw ())));
+        Alcotest.(check bool) "no" false (subsumes c));
     Alcotest.test_case "constants must match exactly" `Quick (fun () ->
         let yes = clause "h(X) :- inPhase(X,post_quals)" in
         let no = clause "h(X) :- inPhase(X,pre_quals)" in
-        Alcotest.(check bool) "yes" true (Subsumption.subsumes yes (ground_uw ()));
-        Alcotest.(check bool) "no" false (Subsumption.subsumes no (ground_uw ())));
+        Alcotest.(check bool) "yes" true (subsumes yes);
+        Alcotest.(check bool) "no" false (subsumes no));
     Alcotest.test_case "initial substitution constrains the head vars" `Quick
       (fun () ->
         let c = clause "advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)" in
@@ -189,17 +198,14 @@ let subsumption_tests =
         in
         (* X := sarita: needs a co-author of sarita, fine (juan). But binding
            X to a non-author fails. *)
-        Alcotest.(check bool) "sarita ok" true
-          (Option.is_some (Subsumption.subsumes_subst ~subst c (ground_uw ())));
+        Alcotest.(check bool) "sarita ok" true (subsumes ~subst c);
         let subst_bad =
           Option.get (Substitution.extend Substitution.empty 0 (v "nobody"))
         in
         Alcotest.(check bool) "nobody fails" false
-          (Option.is_some
-             (Subsumption.subsumes_subst ~subst:subst_bad c (ground_uw ()))));
+          (subsumes ~subst:subst_bad c));
     Alcotest.test_case "empty body subsumes trivially" `Quick (fun () ->
-        Alcotest.(check bool) "trivial" true
-          (Subsumption.subsumes (clause "h(X)") (ground_uw ())));
+        Alcotest.(check bool) "trivial" true (subsumes (clause "h(X)")));
     Alcotest.test_case "prefix evaluator agrees on the blocking atom" `Quick
       (fun () ->
         let c =
@@ -224,7 +230,8 @@ let subsumption_tests =
         Alcotest.(check int) "literals" 7 (List.length (Subsumption.ground_literals g)));
   ]
 
-(* Property: the two engines (backtracking and frontier) agree on random
+(* Property: the exact backtracking search ([Learning.Query] over the ground
+   literals read as a database) and the frontier engine agree on random
    small instances. *)
 let engines_agree =
   let gen =
@@ -260,14 +267,14 @@ let engines_agree =
        (fun (body, ground) ->
          let c = Clause.make (lit "h(X)") body in
          let g = Subsumption.ground_of_literals ground in
-         let backtracking = Subsumption.subsumes c g in
+         let exact = Exact.subsumes c ground in
          let frontier =
            Subsumption.covers_ground ~cap:64 ~subst:Substitution.empty c g
          in
          (* The frontier engine may under-approximate only when truncation
             kicks in; with cap 64 on these tiny instances it never does, so
             the engines must agree exactly. *)
-         backtracking = frontier))
+         exact = frontier))
 
 let suite =
   term_tests @ literal_tests @ substitution_tests @ clause_tests @ parser_tests

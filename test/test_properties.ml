@@ -310,9 +310,7 @@ let subsumption_properties =
            let g1 = List.map (lit ~ground:true) g1_spec in
            let extra = List.map (lit ~ground:true) extra_spec in
            let c = Logic.Clause.make (Logic.Parser.literal "h(X)") body in
-           let covers g =
-             Logic.Subsumption.subsumes c (Logic.Subsumption.ground_of_literals g)
-           in
+           let covers g = Exact.subsumes c g in
            (* adding literals to the ground clause can only help *)
            (not (covers g1)) || covers (g1 @ extra)));
   ]

@@ -417,6 +417,57 @@ let resume_tests =
             Alcotest.(check int) "candidate count restored + tail"
               reference.Learn.stats.Learn.candidates_evaluated
               resumed.Learn.stats.Learn.candidates_evaluated);
+    Alcotest.test_case "a v3 snapshot naming a dropped counter still resumes"
+      `Slow (fun () ->
+        (* Snapshots written before the restarted backtracking test was
+           deleted carry its restart counter (always 0) under this name.
+           Such a file must still load, validate and resume bit-identically,
+           and the unknown name must be ignored when counters are
+           re-credited. *)
+        let dropped = "subsumption_restarts" in
+        let collected = ref [] in
+        let sink ck =
+          collected := ck :: !collected;
+          `Written
+        in
+        let reference = run_uw ~checkpoint:sink ~seed:7 () in
+        match List.rev !collected with
+        | [] -> Alcotest.fail "no checkpoint emitted"
+        | first :: _ ->
+            let old =
+              match first.Checkpoint.counters with
+              | tries :: rest ->
+                  { first with
+                    Checkpoint.counters = tries :: (dropped, 0) :: rest }
+              | [] -> Alcotest.fail "snapshot has no counters"
+            in
+            with_temp_file (fun path ->
+                (match Checkpoint.save old path with
+                | `Written -> ()
+                | `Skipped -> Alcotest.fail "save skipped without chaos");
+                match Checkpoint.load path with
+                | Error e -> Alcotest.failf "load failed: %s" e
+                | Ok got ->
+                    Alcotest.(check bool) "validates" true
+                      (Checkpoint.validate
+                         ~fingerprint:first.Checkpoint.fingerprint got
+                      = Ok ());
+                    let resumed = run_uw ~resume:got ~seed:7 () in
+                    Alcotest.(check string) "same definition"
+                      (render reference.Learn.definition)
+                      (render resumed.Learn.definition);
+                    Alcotest.(check int) "same candidate count"
+                      reference.Learn.stats.Learn.candidates_evaluated
+                      resumed.Learn.stats.Learn.candidates_evaluated);
+            let b = Budget.create () in
+            Budget.add_assoc b [ ("subsumption_tries", 2); (dropped, 5) ];
+            let assoc = Budget.counters_to_assoc (Budget.counters b) in
+            Alcotest.(check bool) "unknown name dropped" false
+              (List.mem_assoc dropped assoc);
+            Alcotest.(check int) "known names credited" 2
+              (List.assoc "subsumption_tries" assoc);
+            Alcotest.(check int) "nothing else credited" 2
+              (List.fold_left (fun acc (_, n) -> acc + n) 0 assoc));
   ]
 
 (* ---------------- corrupted checkpoints ---------------- *)

@@ -83,18 +83,24 @@ let budget_tests =
 
 let all_events =
   Budget.
-    [ Subsumption_try; Subsumption_restart; Subsumption_exhausted;
-      Coverage_truncated; Coverage_memo_hit; Coverage_memo_miss;
-      Coverage_inherited; Beam_cut; Candidate_abandoned; Job_skipped;
-      Worker_fault; Worker_restarted; Job_quarantined; Checkpoint_written;
-      Checkpoint_skipped ]
+    [ Subsumption_try; Subsumption_exhausted; Coverage_truncated;
+      Coverage_memo_hit; Coverage_memo_miss; Coverage_inherited; Beam_cut;
+      Candidate_abandoned; Job_skipped; Worker_fault; Worker_restarted;
+      Job_quarantined; Checkpoint_written; Checkpoint_skipped;
+      Candidate_pruned; Constraint_learned ]
 
 let qcheck_tests =
   [
+    Alcotest.test_case "the monotonicity property draws every event" `Quick
+      (fun () ->
+        Alcotest.(check int) "one event per counter"
+          (List.length (Budget.counters_to_assoc Budget.zero))
+          (List.length all_events));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"Budget counters are monotone under any events"
          ~count:200
-         QCheck.(list (pair (int_bound 14) (int_bound 5)))
+         QCheck.(
+           list (pair (int_bound (List.length all_events - 1)) (int_bound 5)))
          (fun events ->
            let b = Budget.create () in
            let prev = ref (Budget.counters b) in
